@@ -545,12 +545,11 @@ void bench_tiered_rounds(std::vector<KernelResult>& out) {
 // The sharded engine's pitch: per-thread shard fleets with thread-local
 // arenas, per-slot workspaces + 8-byte per-client hints (instead of one
 // multi-KB workspace per client), and fixed-order tree merges — so server
-// rounds scale to N=10^5 participants. Each point measures the sharded path
-// (thread pool registered, one shard per slot capped at 16) against the
-// single-shard serial reference of the same build, asserts the outcomes
-// byte-identical, and records peak RSS — the single-shard side pays the
-// per-client workspace knee the fleet layout exists to avoid, which is why
-// it runs LAST within each scale (ru_maxrss is monotone).
+// rounds scale to N=10^5 participants. Each point measures the sharded
+// configuration (thread pool registered, one shard per slot capped at 16)
+// against the same engine at one shard with no pool (the `_singleshard`
+// baseline), asserts the outcomes byte-identical, and records peak RSS. The
+// baseline runs LAST within each scale (ru_maxrss is monotone).
 //
 // The absent-client sweep is the participation-sparsity story: at Markov
 // stationary π_on, only π_on·N clients appear in a round, and the server's
@@ -728,11 +727,13 @@ void bench_fleet_scale(std::vector<KernelResult>& out, std::vector<SweepRow>& sw
     tensor::set_parallel_pool(nullptr);
   }
 
-  // Single-shard serial reference of the same build: per-client workspaces,
-  // three separate server passes. Runs last — its N workspaces dominate the
-  // scale's RSS high-water mark and must not contaminate the sharded points.
+  // Baseline: the same round engine at one shard with no pool registered —
+  // serial selection through one workspace + the per-client hint store, and
+  // every server pass over a single shard. Runs last so the sharded points'
+  // RSS readings never include it.
   {
     sparsify::FabTopK method(d);
+    method.set_sharding(1);
     out.push_back(measure(label + "_singleshard", "", static_cast<double>(n) * d, [&] {
       do_not_optimize(method.round(fleet.in, k));
     }));
@@ -742,7 +743,7 @@ void bench_fleet_scale(std::vector<KernelResult>& out, std::vector<SweepRow>& sw
     single_ref = method.round(fleet.in, k);
   }
 
-  // The sharded path must be a pure execution-strategy change.
+  // The shard count must be a pure execution-strategy choice.
   if (sharded_ref.update != single_ref.update ||
       sharded_ref.reset_indices != single_ref.reset_indices ||
       sharded_ref.reset_offsets != single_ref.reset_offsets ||
@@ -1107,8 +1108,8 @@ int main(int argc, char** argv) {
   bench_tiered_rounds(results);
   bench_fleet_scale(results, sweep, 10000, 1u << 17, "server_round_N10000_D128k");
   if (!quick) {
-    // The single-shard reference side holds N full per-client workspaces at
-    // N=100k — multi-GB. Full runs only, so --quick CI smoke stays lean.
+    // N=100k client vectors over 256 shared buffers plus 100k uploads per
+    // round: hundreds of MB. Full runs only, so --quick CI smoke stays lean.
     bench_fleet_scale(results, sweep, 100000, 1u << 16, "server_round_N100000_D64k");
   }
   std::printf("  buffered-async vs synchronized wall-clock (deterministic, simulated time):\n");

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 
 namespace fedsparse::fl {
 
@@ -52,29 +53,72 @@ struct Writer {
   }
 };
 
+// Reads an untrusted file: every length prefix is bounded by the bytes left,
+// so a flipped length bit throws instead of asking for exabytes (and
+// n * sizeof(T) cannot overflow).
 struct Reader {
   std::FILE* f;
+  std::uint64_t left;  // bytes not yet read
   void raw(void* p, std::size_t n) {
-    if (std::fread(p, 1, n, f) != n) throw std::runtime_error("replay log: short read");
+    if (n > left || std::fread(p, 1, n, f) != n) {
+      throw std::runtime_error("replay log: short read");
+    }
+    left -= n;
   }
   template <typename T>
   void pod(T& v) {
     raw(&v, sizeof v);
   }
-  template <typename T>
-  void vec(std::vector<T>& v) {
+  std::uint64_t count(std::size_t elem_bytes) {
     std::uint64_t n = 0;
     pod(n);
+    if (n > left / elem_bytes) throw std::runtime_error("replay log: length exceeds file");
+    return n;
+  }
+  template <typename T>
+  void vec(std::vector<T>& v) {
+    const std::uint64_t n = count(sizeof(T));
     v.resize(n);
     if (n != 0) raw(v.data(), n * sizeof(T));
   }
   void str(std::string& s) {
-    std::uint64_t n = 0;
-    pod(n);
+    const std::uint64_t n = count(1);
     s.resize(n);
     if (n != 0) raw(s.data(), n);
   }
 };
+
+// Smallest serialized round: round + k, seven empty vector prefixes, digest.
+constexpr std::size_t kMinRoundBytes = 2 * sizeof(std::uint32_t) + 7 * sizeof(std::uint64_t) +
+                                       sizeof(std::uint64_t);
+
+// Structural checks replay() relies on to index a round's CSR safely.
+void check_round(const ReplayRound& r, std::uint64_t dim) {
+  const auto bad = [&r](const char* what) {
+    throw std::runtime_error("replay log: round " + std::to_string(r.round) + ": " + what);
+  };
+  const std::size_t n = r.client_ids.size();
+  if (r.data_weights.size() != n) bad("data_weights and client_ids differ in size");
+  if (r.vec_offsets.size() != n + 1) bad("vec_offsets needs one entry per client plus one");
+  if (r.vec_offsets.front() != 0) bad("vec_offsets does not start at 0");
+  for (std::size_t s = 0; s < n; ++s) {
+    if (r.vec_offsets[s + 1] < r.vec_offsets[s]) bad("vec_offsets decreases");
+  }
+  if (r.vec_offsets.back() != r.vec_indices.size() ||
+      r.vec_offsets.back() != r.vec_values.size()) {
+    bad("vec_offsets does not end at the size of vec_indices and vec_values");
+  }
+  for (const std::int32_t j : r.vec_indices) {
+    if (j < 0 || static_cast<std::uint64_t>(j) >= dim) bad("vector index out of [0, dim)");
+  }
+}
+
+// dim > 0, and small enough for the int32 vector indices to address.
+void check_dim(std::uint64_t dim) {
+  if (dim == 0 || dim > (std::uint64_t{1} << 31)) {
+    throw std::runtime_error("replay log: dim must be in [1, 2^31]");
+  }
+}
 
 }  // namespace
 
@@ -173,19 +217,24 @@ ReplayLog ReplayLog::load(const std::string& path) {
   if (f == nullptr) throw std::runtime_error("replay log: cannot open " + path);
   ReplayLog log;
   try {
-    Reader rd{f};
+    std::uint64_t size = 0;
+    if (std::fseek(f, 0, SEEK_END) == 0) {
+      const long end = std::ftell(f);
+      if (end > 0) size = static_cast<std::uint64_t>(end);
+    }
+    std::rewind(f);
+    Reader rd{f, size};
     std::uint32_t magic = 0;
     rd.pod(magic);
     if (magic != kMagic) throw std::runtime_error("replay log: bad magic in " + path);
     rd.pod(log.dim);
+    check_dim(log.dim);
     rd.pod(log.seed);
     rd.str(log.method);
     rd.pod(log.fault_config);
     rd.pod(log.validation);
     rd.pod(log.robust);
-    std::uint64_t n = 0;
-    rd.pod(n);
-    log.rounds.resize(n);
+    log.rounds.resize(rd.count(kMinRoundBytes));
     for (ReplayRound& r : log.rounds) {
       rd.pod(r.round);
       rd.pod(r.k);
@@ -197,6 +246,7 @@ ReplayLog ReplayLog::load(const std::string& path) {
       rd.vec(r.faults);
       rd.vec(r.timeline);
       rd.pod(r.digest);
+      check_round(r, log.dim);
     }
   } catch (...) {
     std::fclose(f);
@@ -207,6 +257,8 @@ ReplayLog ReplayLog::load(const std::string& path) {
 }
 
 ReplayResult replay(const ReplayLog& log, std::size_t shards) {
+  check_dim(log.dim);
+  for (const ReplayRound& r : log.rounds) check_round(r, log.dim);
   auto method = sparsify::make_method(log.method, log.dim, log.seed);
   method->set_sharding(shards);
   method->set_validation(log.validation);

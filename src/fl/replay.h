@@ -60,6 +60,11 @@ struct ReplayLog {
   std::vector<ReplayRound> rounds;
 
   /// Compact binary round-trip (magic + version header; throws on mismatch).
+  /// load() treats the file as untrusted: it throws std::runtime_error on a
+  /// truncated file, a length prefix larger than the bytes left, dim outside
+  /// [1, 2^31], or a round whose CSR is inconsistent (data_weights/client_ids
+  /// sizes differ, vec_offsets not n+1 nondecreasing entries from 0 to the
+  /// size of vec_indices and vec_values, an index outside [0, dim)).
   void save(const std::string& path) const;
   static ReplayLog load(const std::string& path);
 };
@@ -92,7 +97,8 @@ struct ReplayResult {
 };
 
 /// Re-drives every recorded round through a fresh method instance at the
-/// given shard count and compares outcome digests against the log.
+/// given shard count and compares outcome digests against the log. Runs the
+/// same structural checks as ReplayLog::load first (std::runtime_error).
 ReplayResult replay(const ReplayLog& log, std::size_t shards);
 
 }  // namespace fedsparse::fl

@@ -87,8 +87,7 @@ struct AsyncConfig {
   /// method's selection threshold — max_c chunk_max[c] >= trigger_scale ×
   /// upload_threshold_hint(i, k) — i.e. it is already holding entries the
   /// server would have selected. Triggered clients compute and upload
-  /// exactly like sampled ones (fresh, staleness 0). 0 disables; requires
-  /// tiered accumulators for the chunk summaries.
+  /// exactly like sampled ones (fresh, staleness 0). 0 disables.
   double trigger_scale = 0.0;
 };
 
@@ -156,23 +155,8 @@ struct SimulationConfig {
   /// update so weights remain synchronized.
   double participation = 1.0;
 
-  /// Hand the methods each participant's accumulator chunk summaries so the
-  /// per-client top-k scans prune clean/quiet chunks (O(touched) instead of
-  /// O(D) per client). Selection outcomes are bitwise identical either way —
-  /// tests/engine_test.cpp pins dense ≡ tiered traces — so false exists only
-  /// as the reference side of that equivalence and for A/B timing.
-  bool tiered_accumulators = true;
-
   /// Shared-store engine (default) or per-replica reference engine.
   ReplicaMode replica_mode = ReplicaMode::kShared;
-
-  /// Sharded round engine (sparsify/shard_engine.h): partition participants
-  /// into per-shard fleets with thread-local accumulator arenas, merge the
-  /// per-shard candidate runs by tree reduction. 0 = auto (one shard per
-  /// pool slot, capped at 16, when the pool has workers; 1 otherwise).
-  /// Round traces are byte-identical at every shard count — pinned by
-  /// tests/engine_test.cpp — so this is purely a throughput knob.
-  std::size_t shards = 0;
 
   /// Fuse accumulate → chunk-summarize → threshold-scan into one pass over
   /// each dirty chunk (GradientAccumulator::add_scan): participants with a
@@ -211,7 +195,11 @@ struct SimulationConfig {
   /// bumps counters — it never perturbs RNG draws or float order.
   TelemetryConfig telemetry;
 
-  std::size_t threads = 0;   // 0 = hardware concurrency
+  /// Worker threads (0 = hardware concurrency). The server round engine
+  /// (sparsify/shard_engine.h) derives its client shard count from the pool:
+  /// one shard per pool slot, capped at 16, when the pool has workers, else
+  /// one. Round traces are byte-identical at every thread count.
+  std::size_t threads = 0;
   std::uint64_t seed = 1;
 };
 

@@ -1,8 +1,6 @@
 #include "sparsify/fab_topk.h"
 
 #include <algorithm>
-#include <cmath>
-#include <unordered_set>
 
 #include "sparsify/keys.h"
 #include "sparsify/topk.h"
@@ -13,204 +11,48 @@ namespace fedsparse::sparsify {
 
 FabTopK::FabTopK(std::size_t dim) : pipe_(dim) {}
 
-std::size_t FabTopK::find_kappa(const std::vector<SparseVector>& uploads, std::size_t k) {
-  // |∪_i J_i^κ| is nondecreasing in κ, so binary search works. Evaluating the
-  // union size at κ costs O(N·κ) with a hash set.
-  const auto union_size = [&uploads](std::size_t kappa) {
-    std::unordered_set<std::int32_t> seen;
-    for (const auto& up : uploads) {
-      const std::size_t take = std::min(kappa, up.size());
-      for (std::size_t j = 0; j < take; ++j) seen.insert(up[j].index);
-    }
-    return seen.size();
-  };
-  std::size_t lo = 0, hi = k;  // invariant: union_size(lo) <= k
-  while (lo < hi) {
-    const std::size_t mid = lo + (hi - lo + 1) / 2;
-    if (union_size(mid) <= k) {
-      lo = mid;
-    } else {
-      hi = mid - 1;
-    }
-  }
-  return lo;
-}
-
-std::size_t FabTopK::find_kappa_stamped(std::size_t k) {
-  // growth[j] = number of indices appearing first at prefix depth j+1, so
-  // |∪_i J_i^κ| = growth[0] + … + growth[κ-1]. One stamp pass computes every
-  // union size at once; the walk then returns the largest κ with size ≤ k.
-  union_growth_.assign(k, 0);
-  std::uint32_t* stamp = pipe_.stamp();
-  const std::uint32_t token = pipe_.next_token();
-  for (std::size_t j = 0; j < k; ++j) {
-    for (const auto& up : pipe_.uploads()) {
-      if (up.size() <= j) continue;
-      const auto idx = static_cast<std::size_t>(up[j].index);
-      if (stamp[idx] != token) {
-        stamp[idx] = token;
-        ++union_growth_[j];
-      }
-    }
-  }
-  std::size_t size = 0, kappa = 0;
-  for (std::size_t j = 0; j < k; ++j) {
-    size += union_growth_[j];
-    if (size > k) break;
-    kappa = j + 1;
-  }
-  return kappa;
-}
-
-RoundOutcome FabTopK::round(const RoundInput& in, std::size_t k) {
-  validate_round_input(in);
-  const std::size_t n = in.client_vectors.size();
-  k = std::clamp<std::size_t>(k, 1, pipe_.dim());
-  // Dispatch on the pipeline's shard count alone (not n): the hint store must
-  // not flip between the per-client workspaces and the fleet store across
-  // rounds. The robust path also routes through the sharded engine (at S = 1
-  // it is the reference round with the robust reduce swapped in) — the
-  // defense-off reference loop below stays bitwise untouched.
-  if (pipe_.sharded() || pipe_.robust_enabled()) return round_sharded(in, k);
-
-  // Stage: client-side top-k of the accumulated gradient, strongest first —
-  // the N independent selections thread across the registered pool, pruning
-  // on the accumulators' chunk summaries when the caller provides them.
-  const std::vector<SparseVector>& uploads = pipe_.select_uploads(in, k);
-
-  // Stage: screen the uploads before anything server-side reads them — a
-  // poisoned payload must not reach the κ search, let alone the arena.
-  ValidationStats vstats;
-  const std::span<const double> weights = pipe_.validate_uploads(in, vstats);
-  if (vstats.degraded) {
-    RoundOutcome out;
-    pipe_.finish_degraded(in, out);
-    out.validation = vstats;
-    return out;
-  }
-
-  // Server side: fairness-aware selection.
-  const std::size_t kappa = find_kappa_stamped(k);
-
-  float* agg = pipe_.agg();
-  std::uint32_t* stamp = pipe_.stamp();
-  const std::uint32_t in_j = pipe_.next_token();
-  selected_.clear();
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto& up = uploads[i];
-    const std::size_t take = std::min(kappa, up.size());
-    for (std::size_t j = 0; j < take; ++j) {
-      const auto idx = static_cast<std::size_t>(up[j].index);
-      if (stamp[idx] != in_j) {
-        stamp[idx] = in_j;
-        selected_.push_back(up[j].index);
-      }
-    }
-  }
-
-  // Fill to k from the (κ+1)-th candidates (the only members of
-  // (∪J^{κ+1}) \ (∪J^κ)), strongest |value| first, deterministic tie-break.
-  if (selected_.size() < k) {
-    fill_candidates_.clear();
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto& up = uploads[i];
-      if (up.size() > kappa) {
-        const auto& e = up[kappa];
-        if (stamp[static_cast<std::size_t>(e.index)] != in_j) fill_candidates_.push_back(e);
-      }
-    }
-    std::sort(fill_candidates_.begin(), fill_candidates_.end(),
-              [](const SparseEntry& a, const SparseEntry& b) {
-                const float aa = std::fabs(a.value), bb = std::fabs(b.value);
-                if (aa != bb) return aa > bb;
-                return a.index < b.index;
-              });
-    for (const auto& e : fill_candidates_) {
-      if (selected_.size() >= k) break;
-      const auto idx = static_cast<std::size_t>(e.index);
-      if (stamp[idx] != in_j) {
-        stamp[idx] = in_j;
-        selected_.push_back(e.index);
-      }
-    }
-  }
-
-  // Stage: aggregate b_j = Σ_i (C_i/C) a_ij over uploaders, for j ∈ J only,
-  // through the pipeline's dense arena.
-  for (const std::int32_t j : selected_) agg[static_cast<std::size_t>(j)] = 0.0f;
-
-  RoundOutcome out;
-  out.kind = RoundOutcome::Kind::kSparseUpdate;
-  out.validation = vstats;
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto w = static_cast<float>(weights[i]);
-    for (const auto& e : uploads[i]) {
-      const auto idx = static_cast<std::size_t>(e.index);
-      if (stamp[idx] == in_j) agg[idx] += w * e.value;  // j ∈ J and j ∈ J_i
-    }
-  }
-  // Stage: per-client resets + contributions (an uploaded entry resets iff it
-  // made the broadcast, i.e. carries the in_j stamp).
-  build_reset_lists(uploads, stamp, in_j, out);
-
-  out.update.reserve(selected_.size());
-  for (const std::int32_t j : selected_) {
-    out.update.push_back(SparseEntry{j, agg[static_cast<std::size_t>(j)]});
-  }
-  sort_by_index(out.update);
-
-  // Stage: payload accounting. Clients transmit in parallel, so the
-  // synchronous round waits on the largest actual per-client payload — not a
-  // flat 2k, which overcharges whenever a client uploaded fewer than k
-  // entries. The full per-client distribution feeds the heterogeneous
-  // network model's straggler max.
-  pipe_.finish_payload(out);
-  return out;
-}
-
-// Sharded round: the same algorithm with every O(N·k) server pass split into
-// per-shard arena passes plus a fixed-order serial combine. Equivalence to
-// the reference path, phase by phase:
+// One round, with every O(N·k) server pass split into per-shard arena
+// passes plus a fixed-order serial combine. Why the outcome does not depend
+// on the shard count, phase by phase:
 //
-//  * κ — the reference's growth histogram counts indices by their MIN prefix
+//  * κ — |∪_i J_i^κ| counts each uploaded index once, at its MIN prefix
 //    depth over all clients. Min is commutative/associative, so per-shard
 //    minima min-merged in fixed shard order give the same per-index depth,
-//    the same histogram, the same κ.
-//  * J — the reference builds selected_ in client-major prefix order, but
-//    its ORDER is never observable: the update is index-sorted at the end
-//    and resets/contributions test only membership. J as a set is
-//    {min depth < κ}, read off the merged depth map.
-//  * Fill — the reference sorts all (κ+1)-th candidates by (|v| desc, index
-//    asc) and walks with first-occurrence index dedup until k. Per-shard:
+//    the same growth histogram, the same κ.
+//  * J — as a set, J is {min depth < κ}, read off the merged depth map. Its
+//    order is never observable: the update is index-sorted at the end and
+//    resets/contributions test only membership.
+//  * Fill — the (κ+1)-th candidates, strongest (|v| desc, index asc) first,
+//    walked with first-occurrence index dedup until |J| = k. Per shard:
 //    radix-sort the shard's candidates as 64-bit keys (the identical total
 //    order), dedup within the shard (a dropped duplicate is weaker than an
-//    earlier same-index key, so the reference walk would skip it too) and
+//    earlier same-index key, so the global walk would skip it too) and
 //    truncate to the fill quota f = k − |J| (an entry below f distinct
 //    stronger in-shard candidates has ≥ f distinct stronger candidates
 //    globally — it can never be chosen). Tree-merging the runs restores the
-//    exact global candidate order; the final walk is the reference walk.
+//    global candidate order; the final walk is serial.
 //  * Aggregation / resets — BucketAggregator reproduces the client-major
 //    float addition sequence per index (see shard_engine.h); CsrResetBuilder
-//    is the reference's count/fill loop over a contiguous partition. The
+//    fills the client-major CSR lists over a contiguous partition. The
 //    builder runs FIRST: the aggregator re-stamps J's entries with its touch
 //    token, consuming the in_j membership the filter reads.
-RoundOutcome FabTopK::round_sharded(const RoundInput& in, std::size_t k) {
+RoundOutcome FabTopK::round(const RoundInput& in, std::size_t k) {
+  validate_round_input(in);
   const std::size_t n = in.client_vectors.size();
   const std::size_t dim = pipe_.dim();
+  k = std::clamp<std::size_t>(k, 1, dim);
   util::ThreadPool* pool = tensor::parallel_pool();
   const ShardPlan plan = pipe_.make_plan(n);
   const std::size_t S = plan.shards();
 
+  // Stage: client-side top-k of the accumulated gradient, strongest first.
   const std::vector<SparseVector>& uploads = pipe_.select_uploads(in, k);
 
-  ValidationStats vstats;
-  const std::span<const double> weights = pipe_.validate_uploads(in, vstats);
-  if (vstats.degraded) {
-    RoundOutcome out;
-    pipe_.finish_degraded(in, out);
-    out.validation = vstats;
-    return out;
-  }
+  // Stage: screen the uploads before anything server-side reads them — a
+  // poisoned payload must not reach the κ search, let alone the aggregation.
+  RoundOutcome out;
+  const std::span<const double> weights = pipe_.validate_uploads(in, out);
+  if (out.validation.degraded) return out;
 
   // Per-shard min prefix depth of every index the shard saw.
   std::vector<ShardArena>& arenas = pipe_.arenas(S);
@@ -232,30 +74,29 @@ RoundOutcome FabTopK::round_sharded(const RoundInput& in, std::size_t k) {
     }
   });
 
-  // Fixed-order min-merge into the global depth map, then the same growth
-  // histogram walk as find_kappa_stamped.
-  if (depth_.size() < dim) depth_.resize(dim, 0);
-  std::uint32_t* stamp = pipe_.stamp();
-  const std::uint32_t seen = pipe_.next_token();
-  touched_union_.clear();
-  for (std::size_t s = 0; s < S; ++s) {
+  // Fixed-order min-merge of shards 1..S-1 into shard 0's arena, which then
+  // maps every uploaded index to its global min prefix depth (aux) and lists
+  // the union in `touched`. growth[j] = number of indices first appearing at
+  // prefix depth j+1, so |∪_i J_i^κ| = growth[0] + … + growth[κ-1]; the walk
+  // returns the largest κ with size ≤ k (never below ⌊k/N⌋, the fairness
+  // guarantee).
+  ShardArena& all = arenas[0];
+  for (std::size_t s = 1; s < S; ++s) {
     const ShardArena& ar = arenas[s];
     for (const std::int32_t j : ar.touched) {
       const auto idx = static_cast<std::size_t>(j);
       const std::uint32_t d = ar.aux[idx];
-      if (stamp[idx] != seen) {
-        stamp[idx] = seen;
-        depth_[idx] = d;
-        touched_union_.push_back(j);
-      } else if (d < depth_[idx]) {
-        depth_[idx] = d;
+      if (all.stamp[idx] != all.token) {
+        all.stamp[idx] = all.token;
+        all.aux[idx] = d;
+        all.touched.push_back(j);
+      } else if (d < all.aux[idx]) {
+        all.aux[idx] = d;
       }
     }
   }
   union_growth_.assign(k, 0);
-  for (const std::int32_t j : touched_union_) {
-    ++union_growth_[depth_[static_cast<std::size_t>(j)]];
-  }
+  for (const std::int32_t j : all.touched) ++union_growth_[all.aux[static_cast<std::size_t>(j)]];
   std::size_t size = 0, kappa = 0;
   for (std::size_t j = 0; j < k; ++j) {
     size += union_growth_[j];
@@ -263,18 +104,20 @@ RoundOutcome FabTopK::round_sharded(const RoundInput& in, std::size_t k) {
     kappa = j + 1;
   }
 
+  // J as the in_j stamp set: the κ-prefix union, then the fill below.
+  std::uint32_t* stamp = pipe_.stamp();
   const std::uint32_t in_j = pipe_.next_token();
-  selected_.clear();
-  for (const std::int32_t j : touched_union_) {
+  std::size_t selected = 0;
+  for (const std::int32_t j : all.touched) {
     const auto idx = static_cast<std::size_t>(j);
-    if (depth_[idx] < kappa) {
+    if (all.aux[idx] < kappa) {
       stamp[idx] = in_j;
-      selected_.push_back(j);
+      ++selected;
     }
   }
 
-  if (selected_.size() < k) {
-    const std::size_t need = k - selected_.size();
+  if (selected < k) {
+    const std::size_t need = k - selected;
     for_each_shard(pool, S, [&](std::size_t s) {
       ShardArena& ar = arenas[s];
       ar.keys.clear();
@@ -303,29 +146,21 @@ RoundOutcome FabTopK::round_sharded(const RoundInput& in, std::size_t k) {
     for (std::size_t s = 0; s < S; ++s) total_fill += arenas[s].keys.size();
     const auto merged = pipe_.merge_arena_keys(S, total_fill);
     for (const std::uint64_t key : merged) {
-      if (selected_.size() >= k) break;
+      if (selected >= k) break;
       const std::size_t idx = key_index(key);
       if (stamp[idx] != in_j) {
         stamp[idx] = in_j;
-        selected_.push_back(static_cast<std::int32_t>(idx));
+        ++selected;
       }
     }
   }
 
-  RoundOutcome out;
-  out.kind = RoundOutcome::Kind::kSparseUpdate;
-  out.validation = vstats;
   const BucketAggregator::Filter filter{stamp, in_j};
   pipe_.build_resets(S, pool, filter, out);
-  if (pipe_.robust_enabled()) {
-    pipe_.aggregate_robust(in, weights, S, pool, filter);
-    out.robust = pipe_.robust_stats();
-  } else {
-    pipe_.aggregate(weights, S, pool, filter);
-  }
+  pipe_.aggregate(in, weights, S, pool, filter, out);
 
   // Buckets are ascending disjoint index ranges, so per-bucket index sorts
-  // concatenate into the globally index-sorted update the reference emits.
+  // concatenate into the globally index-sorted update.
   // Every j ∈ J has at least one uploader (prefix members and fill
   // candidates both come from uploads), so the aggregated set IS J.
   pipe_.emit_update_from_buckets(pool, out);

@@ -14,9 +14,9 @@
 //
 // Fairness guarantee: κ never drops below ⌊k/N⌋ because N·⌊k/N⌋ ≤ k.
 //
-// The shared stages (selection, aggregation arena, sharded scratch, reset
-// builder, payload accounting) live in RoundPipeline; this class owns only
-// the FAB-specific middle: the κ search and the fill.
+// The shared stages (selection, shard arenas, aggregation, reset builder,
+// payload accounting) live in RoundPipeline; this class owns only the
+// FAB-specific middle: the κ search and the fill.
 #pragma once
 
 #include "sparsify/method.h"
@@ -31,11 +31,8 @@ class FabTopK final : public Method {
   std::string name() const override { return "fab_topk"; }
   RoundOutcome round(const RoundInput& in, std::size_t k) override;
 
-  /// Sharded round engine: shards > 1 partitions the participants into
-  /// contiguous per-thread fleets (per-shard depth arenas, tree-merged fill
-  /// candidates, bucketed aggregation) with byte-identical outcomes at every
-  /// shard count. Selection hints move from per-client workspaces into the
-  /// compact per-client hint store, so switch before the first round.
+  /// Client shards for the round engine (see Method::set_sharding). Outcomes
+  /// are byte-identical at every shard count.
   void set_sharding(std::size_t shards) override { pipe_.set_sharding(shards); }
   void set_validation(const ValidationConfig& cfg) override { pipe_.set_validation(cfg); }
   void set_robust(const RobustConfig& cfg) override { pipe_.set_robust(cfg); }
@@ -44,30 +41,11 @@ class FabTopK final : public Method {
     return pipe_.threshold_hint(client_id, k);
   }
 
-  /// Reference κ search (hash-set based), exposed for unit tests: given
-  /// per-client uploads sorted strongest-first, returns the largest
-  /// κ ∈ [0, k] with |∪_i J_i^κ| ≤ k. round() uses the zero-allocation
-  /// stamp-based equivalent.
-  static std::size_t find_kappa(const std::vector<SparseVector>& uploads, std::size_t k);
-
  private:
-  /// Stamp-based κ search: one O(N·k) pass counting how many *new* indices
-  /// each prefix depth contributes, then a prefix-sum walk. Same result as
-  /// find_kappa, no hashing, no allocation beyond the reused growth buffer.
-  std::size_t find_kappa_stamped(std::size_t k);
-
-  RoundOutcome round_sharded(const RoundInput& in, std::size_t k);
-
   RoundPipeline pipe_;
-  // FAB-specific per-round scratch (reused; steady-state rounds allocate
-  // nothing): the selected downlink set J, the (κ+1)-th fill candidates, the
-  // union-growth histogram of the κ search, and the sharded κ search's merged
-  // per-index min prefix depths.
-  std::vector<std::int32_t> selected_;
-  SparseVector fill_candidates_;
+  // The κ search's union-growth histogram (reused; steady-state rounds
+  // allocate nothing).
   std::vector<std::size_t> union_growth_;
-  std::vector<std::uint32_t> depth_;         // global min prefix depth per index
-  std::vector<std::int32_t> touched_union_;  // indices seen by any shard
 };
 
 }  // namespace fedsparse::sparsify

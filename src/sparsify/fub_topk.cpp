@@ -1,7 +1,6 @@
 #include "sparsify/fub_topk.h"
 
 #include <algorithm>
-#include <cmath>
 #include <functional>
 
 #include "sparsify/keys.h"
@@ -13,108 +12,26 @@ namespace fedsparse::sparsify {
 
 FubTopK::FubTopK(std::size_t dim) : pipe_(dim) {}
 
+// The server keeps the k entries of the aggregated union that are largest
+// by (|value| desc, index asc) — exactly the 64-bit key order on (agg value,
+// index), and the per-index keys are unique. So: bucketed aggregation
+// (shard-count-independent sums, see shard_engine.h), per-bucket partial
+// top-k via nth_element + radix sort, k-bounded tree merge of the runs. The
+// merged run is the global top-k set; the update is then index-sorted.
 RoundOutcome FubTopK::round(const RoundInput& in, std::size_t k) {
   validate_round_input(in);
-  const std::size_t n = in.client_vectors.size();
   k = std::clamp<std::size_t>(k, 1, pipe_.dim());
-  // The robust path routes through the sharded engine (at S = 1 it is the
-  // reference round with the robust reduce swapped in); the defense-off
-  // reference loop below stays bitwise untouched.
-  if (pipe_.sharded() || pipe_.robust_enabled()) return round_sharded(in, k);
-
-  // Stage: per-client selections threaded across the registered pool
-  // (deterministic: each client owns its workspace and output slot),
-  // chunk-pruned when the caller provides accumulator summaries.
-  const std::vector<SparseVector>& uploads = pipe_.select_uploads(in, k);
-
-  ValidationStats vstats;
-  const std::span<const double> weights = pipe_.validate_uploads(in, vstats);
-  if (vstats.degraded) {
-    RoundOutcome out;
-    pipe_.finish_degraded(in, out);
-    out.validation = vstats;
-    return out;
-  }
-
-  // Aggregate everything uploaded, then keep the top-k by |aggregate|.
-  float* agg = pipe_.agg();
-  std::uint32_t* stamp = pipe_.stamp();
-  const std::uint32_t touched = pipe_.next_token();
-  touched_list_.clear();
-  for (const auto& up : uploads) {
-    for (const auto& e : up) {
-      const auto idx = static_cast<std::size_t>(e.index);
-      if (stamp[idx] != touched) {
-        stamp[idx] = touched;
-        agg[idx] = 0.0f;
-        touched_list_.push_back(e.index);
-      }
-    }
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto w = static_cast<float>(weights[i]);
-    for (const auto& e : uploads[i]) agg[static_cast<std::size_t>(e.index)] += w * e.value;
-  }
-
-  SparseVector aggregated;
-  aggregated.reserve(touched_list_.size());
-  for (const std::int32_t j : touched_list_) {
-    aggregated.push_back(SparseEntry{j, agg[static_cast<std::size_t>(j)]});
-  }
-  std::sort(aggregated.begin(), aggregated.end(), [](const SparseEntry& a, const SparseEntry& b) {
-    const float aa = std::fabs(a.value), bb = std::fabs(b.value);
-    if (aa != bb) return aa > bb;
-    return a.index < b.index;
-  });
-  if (aggregated.size() > k) aggregated.resize(k);
-
-  // Membership of J for reset/contribution bookkeeping: reuse a fresh stamp.
-  const std::uint32_t in_j = pipe_.next_token();
-  for (const auto& e : aggregated) stamp[static_cast<std::size_t>(e.index)] = in_j;
-
-  RoundOutcome out;
-  out.kind = RoundOutcome::Kind::kSparseUpdate;
-  out.validation = vstats;
-  out.update = std::move(aggregated);
-  sort_by_index(out.update);
-  // Stage: per-client resets + contributions (an uploaded entry resets iff it
-  // made the broadcast, i.e. carries the in_j stamp).
-  build_reset_lists(uploads, stamp, in_j, out);
-  // Stage: payload accounting — parallel uplinks charge the largest actual
-  // per-client payload (matches FabTopK) rather than assuming every client
-  // sent k pairs.
-  pipe_.finish_payload(out);
-  return out;
-}
-
-// Sharded round. The reference sorts the whole aggregated union by
-// (|value| desc, index asc) and keeps k — exactly the 64-bit key order on
-// (agg value, index), and the per-index keys are unique. So: bucketed
-// aggregation (bit-identical sums, see shard_engine.h), per-bucket partial
-// top-k via nth_element + radix sort, k-bounded tree merge of the runs. The
-// merged run is the global top-k set; the reference's update/reset passes
-// only consume that set (the update re-sorts by index).
-RoundOutcome FubTopK::round_sharded(const RoundInput& in, std::size_t k) {
   util::ThreadPool* pool = tensor::parallel_pool();
   const ShardPlan plan = pipe_.make_plan(in.client_vectors.size());
   const std::size_t S = plan.shards();
 
   pipe_.select_uploads(in, k);
 
-  ValidationStats vstats;
-  const std::span<const double> weights = pipe_.validate_uploads(in, vstats);
-  if (vstats.degraded) {
-    RoundOutcome out;
-    pipe_.finish_degraded(in, out);
-    out.validation = vstats;
-    return out;
-  }
-
   RoundOutcome out;
-  const BucketAggregator& aggregator =
-      pipe_.robust_enabled() ? pipe_.aggregate_robust(in, weights, S, pool, /*f=*/{})
-                             : pipe_.aggregate(weights, S, pool, /*f=*/{});
-  if (pipe_.robust_enabled()) out.robust = pipe_.robust_stats();
+  const std::span<const double> weights = pipe_.validate_uploads(in, out);
+  if (out.validation.degraded) return out;
+
+  const BucketAggregator& aggregator = pipe_.aggregate(in, weights, S, pool, /*f=*/{}, out);
   float* agg = pipe_.agg();
 
   const std::size_t B = aggregator.buckets();
@@ -137,8 +54,6 @@ RoundOutcome FubTopK::round_sharded(const RoundInput& in, std::size_t k) {
 
   std::uint32_t* stamp = pipe_.stamp();
   const std::uint32_t in_j = pipe_.next_token();
-  out.kind = RoundOutcome::Kind::kSparseUpdate;
-  out.validation = vstats;
   out.update.resize(merged.size());
   for (std::size_t p = 0; p < merged.size(); ++p) {
     const std::size_t idx = key_index(merged[p]);

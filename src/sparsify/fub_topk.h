@@ -21,7 +21,7 @@ class FubTopK final : public Method {
   std::string name() const override { return "fub_topk"; }
   RoundOutcome round(const RoundInput& in, std::size_t k) override;
 
-  /// See FabTopK::set_sharding — byte-identical at every shard count.
+  /// See Method::set_sharding — byte-identical at every shard count.
   void set_sharding(std::size_t shards) override { pipe_.set_sharding(shards); }
   void set_validation(const ValidationConfig& cfg) override { pipe_.set_validation(cfg); }
   void set_robust(const RobustConfig& cfg) override { pipe_.set_robust(cfg); }
@@ -31,11 +31,7 @@ class FubTopK final : public Method {
   }
 
  private:
-  RoundOutcome round_sharded(const RoundInput& in, std::size_t k);
-
   RoundPipeline pipe_;
-  // FUB-specific per-round scratch: the aggregated union's index list.
-  std::vector<std::int32_t> touched_list_;
 };
 
 }  // namespace fedsparse::sparsify

@@ -70,44 +70,6 @@ void validate_round_input(const RoundInput& in) {
   }
 }
 
-void set_uplink_from_uploads(const std::vector<SparseVector>& uploads, RoundOutcome& out) {
-  std::size_t max_upload = 0;
-  out.client_uplink_values.clear();
-  out.client_uplink_values.reserve(uploads.size());
-  for (const auto& up : uploads) {
-    max_upload = std::max(max_upload, up.size());
-    out.client_uplink_values.push_back(2.0 * static_cast<double>(up.size()));
-  }
-  out.uplink_values = 2.0 * static_cast<double>(max_upload);
-}
-
-void build_reset_lists(const std::vector<SparseVector>& uploads, const std::uint32_t* stamp,
-                       std::uint32_t token, RoundOutcome& out) {
-  const std::size_t n = uploads.size();
-  out.reset_kind = RoundOutcome::ResetKind::kPerClient;
-  out.reset_indices.clear();
-  out.reset_offsets.clear();
-  out.reset_offsets.reserve(n + 1);
-  out.reset_offsets.push_back(0);
-  out.contributed.assign(n, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (stamp == nullptr) {
-      for (const auto& e : uploads[i]) out.reset_indices.push_back(e.index);
-      out.contributed[i] = uploads[i].size();
-    } else {
-      std::size_t kept = 0;
-      for (const auto& e : uploads[i]) {
-        if (stamp[static_cast<std::size_t>(e.index)] == token) {
-          out.reset_indices.push_back(e.index);
-          ++kept;
-        }
-      }
-      out.contributed[i] = kept;
-    }
-    out.reset_offsets.push_back(out.reset_indices.size());
-  }
-}
-
 std::unique_ptr<Method> make_method(const std::string& name, std::size_t dim,
                                     std::uint64_t seed) {
   if (name == "fab_topk") return std::make_unique<FabTopK>(dim);

@@ -170,10 +170,11 @@ class Method {
   /// stateful ones (periodic-k) override it to snapshot/restore.
   virtual RoundOutcome probe_round(const RoundInput& in, std::size_t k) { return round(in, k); }
 
-  /// Requests the sharded round engine with `shards` client shards (top-k
-  /// methods; others ignore it). 0 or 1 selects the single-shard reference
-  /// path. Outcomes are byte-identical at every shard count — sharding is a
-  /// scheduling decision, not a semantic one.
+  /// Splits the top-k round engine's server passes across `shards` client
+  /// shards (others ignore it; 0 is treated as 1). Outcomes are
+  /// byte-identical at every shard count — sharding is a scheduling
+  /// decision, not a semantic one. fl::Simulation picks one shard per pool
+  /// slot (capped at 16) when the pool has workers, else one.
   virtual void set_sharding(std::size_t shards) { (void)shards; }
 
   /// Configures the upload-screening stage (sparsify/validate.h). Methods
@@ -214,21 +215,5 @@ std::unique_ptr<Method> make_method(const std::string& name, std::size_t dim,
 /// Validates a RoundInput against a method call (dimension/shape checks
 /// shared by all implementations). Throws std::invalid_argument.
 void validate_round_input(const RoundInput& in);
-
-/// Fills an outcome's uplink accounting from per-client top-k uploads: the
-/// slot-aligned payload list (2 values per (index, value) pair) and the
-/// legacy parallel-uplink max. Shared by every upload-based method so the
-/// two fields cannot drift apart.
-void set_uplink_from_uploads(const std::vector<SparseVector>& uploads, RoundOutcome& out);
-
-/// Builds the client-major kPerClient reset lists + contributed counts from
-/// per-client uploads on the single-shard reference path (the sharded engine
-/// uses CsrResetBuilder). `stamp`/`token` give the downlink-membership test:
-/// an uploaded entry is reset (and counts as contributed) iff
-/// stamp[idx] == token — pass stamp == nullptr for methods whose broadcast
-/// contains every uploaded index (unidirectional). Shared by the top-k
-/// methods so the CSR construction cannot drift between them.
-void build_reset_lists(const std::vector<SparseVector>& uploads, const std::uint32_t* stamp,
-                       std::uint32_t token, RoundOutcome& out);
 
 }  // namespace fedsparse::sparsify

@@ -55,13 +55,8 @@ const std::vector<SparseVector>& RoundPipeline::select_uploads(const RoundInput&
   FEDSPARSE_SPAN("pipeline_select");
   const std::vector<PrescanView>* pre =
       in.client_prescan.empty() ? nullptr : &in.client_prescan;
-  if (shards_ > 1) {
-    top_k_uploads_fleet(in.client_vectors, in.client_chunk_max, k, in.client_ids, slot_ws_,
-                        hints_, uploads_, pre);
-  } else {
-    top_k_uploads(in.client_vectors, in.client_chunk_max, k, in.client_ids, topk_ws_, uploads_,
-                  pre);
-  }
+  top_k_uploads(in.client_vectors, in.client_chunk_max, k, in.client_ids, slot_ws_, hints_,
+                uploads_, pre);
 #ifdef FEDSPARSE_CONTRACTS
   check_selected_uploads(in, uploads_, dim_);
 #endif
@@ -75,8 +70,9 @@ const std::vector<SparseVector>& RoundPipeline::select_uploads(const RoundInput&
 }
 
 std::span<const double> RoundPipeline::validate_uploads(const RoundInput& in,
-                                                        ValidationStats& stats) {
+                                                        RoundOutcome& out) {
   FEDSPARSE_SPAN("pipeline_screen");
+  ValidationStats& stats = out.validation;
   const std::span<const double> eff =
       validator_.screen(uploads_, in.client_ids, in.data_weights, dim_, in.round, stats);
 #ifdef FEDSPARSE_CONTRACTS
@@ -90,30 +86,19 @@ std::span<const double> RoundPipeline::validate_uploads(const RoundInput& in,
                        "screening broke weight mass conservation");
   }
 #endif
+  if (stats.degraded) {
+    out.update.clear();
+    out.reset_kind = RoundOutcome::ResetKind::kNone;
+    out.contributed.assign(in.client_vectors.size(), 0);
+    finish_payload(out);
+  }
   return eff;
 }
 
-void RoundPipeline::finish_degraded(const RoundInput& in, RoundOutcome& out) const {
-  out.kind = RoundOutcome::Kind::kSparseUpdate;
-  out.update.clear();
-  out.reset_kind = RoundOutcome::ResetKind::kNone;
-  out.contributed.assign(in.client_vectors.size(), 0);
-  finish_payload(out);
-}
-
 float RoundPipeline::threshold_hint(std::size_t client_id, std::size_t k) const {
-  float threshold = 0.0f;
-  std::size_t hint_k = 0;
-  if (shards_ > 1) {
-    if (client_id >= hints_.size()) return 0.0f;
-    threshold = hints_[client_id].threshold;
-    hint_k = hints_[client_id].k;
-  } else {
-    if (client_id >= topk_ws_.size()) return 0.0f;
-    threshold = topk_ws_[client_id].threshold_hint;
-    hint_k = topk_ws_[client_id].hint_k;
-  }
-  return hint_compatible(hint_k, k) ? threshold : 0.0f;
+  if (client_id >= hints_.size()) return 0.0f;
+  const ClientHint& h = hints_[client_id];
+  return hint_compatible(h.k, k) ? h.threshold : 0.0f;
 }
 
 std::vector<ShardArena>& RoundPipeline::arenas(std::size_t count) {
@@ -139,25 +124,22 @@ std::span<const std::uint64_t> RoundPipeline::merge_arena_keys(std::size_t count
   return {merged_keys_.data(), merged_keys_.size()};
 }
 
-const BucketAggregator& RoundPipeline::aggregate(std::span<const double> weights,
+const BucketAggregator& RoundPipeline::aggregate(const RoundInput& in,
+                                                 std::span<const double> weights,
                                                  std::size_t shards, util::ThreadPool* pool,
-                                                 const BucketAggregator::Filter& f) {
-  FEDSPARSE_SPAN("pipeline_aggregate");
-  ++stamp_token_;
-  aggregator_.run(uploads_, weights, dim_, shards, pool, f, agg_.data(), stamp_.data(),
-                  stamp_token_);
-  return aggregator_;
-}
-
-const BucketAggregator& RoundPipeline::aggregate_robust(const RoundInput& in,
-                                                        std::span<const double> weights,
-                                                        std::size_t shards,
-                                                        util::ThreadPool* pool,
-                                                        const BucketAggregator::Filter& f) {
+                                                 const BucketAggregator::Filter& f,
+                                                 RoundOutcome& out) {
+  if (robust_cfg_.trivial()) {
+    FEDSPARSE_SPAN("pipeline_aggregate");
+    ++stamp_token_;
+    aggregator_.run(uploads_, weights, dim_, shards, pool, f, agg_.data(), stamp_.data(),
+                    stamp_token_);
+    return aggregator_;
+  }
   FEDSPARSE_SPAN("pipeline_robust_aggregate");
   ++stamp_token_;
   aggregator_.run_robust(uploads_, weights, dim_, shards, pool, f, robust_cfg_, agg_.data(),
-                         stamp_.data(), stamp_token_, robust_stats_);
+                         stamp_.data(), stamp_token_, out.robust);
 
   // Reputation pass: every contributing client scored by the cosine between
   // its upload and the robust aggregate restricted to the client's own
@@ -193,14 +175,14 @@ const BucketAggregator& RoundPipeline::aggregate_robust(const RoundInput& in,
         dot < robust_cfg_.suspect_cosine * std::sqrt(norm_up) * std::sqrt(norm_agg);
     const std::size_t cid = in.client_ids.empty() ? s : in.client_ids[s];
     if (anti_aligned) {
-      ++robust_stats_.suspects;
+      ++out.robust.suspects;
       validator_.note_suspect(cid, in.round);
     } else {
       aligned_w += w;
       validator_.note_aligned(cid, in.round);
     }
   }
-  robust_stats_.mean_trust = contributing_w > 0.0 ? aligned_w / contributing_w : 1.0;
+  out.robust.mean_trust = contributing_w > 0.0 ? aligned_w / contributing_w : 1.0;
   return aggregator_;
 }
 
@@ -234,7 +216,7 @@ void RoundPipeline::emit_update_from_buckets(util::ThreadPool* pool, RoundOutcom
 
 void RoundPipeline::finish_payload(RoundOutcome& out) const {
 #ifdef FEDSPARSE_CONTRACTS
-  // Every emitting path (reference sort, bucket concatenation) must deliver
+  // Every emitting path (index sort, bucket concatenation) must deliver
   // the update strictly index-ascending and in-bounds — appliers and the
   // probe's sparse_subtract rely on it.
   for (std::size_t p = 0; p < out.update.size(); ++p) {
@@ -247,16 +229,17 @@ void RoundPipeline::finish_payload(RoundOutcome& out) const {
     }
   }
 #endif
-  set_uplink_from_uploads(uploads_, out);
-  // Screening may have emptied rejected payloads after they crossed the wire;
-  // the timing model charges the transmitted sizes, not the surviving ones.
+  // Uplink: the slot-aligned payload list (2 values per (index, value) pair)
+  // and the parallel-uplink max. Screening may have emptied rejected
+  // payloads after they crossed the wire; the timing model charges the
+  // transmitted sizes, not the surviving ones.
   const auto pre = validator_.pre_screen_uplink();
-  if (!pre.empty()) {
-    out.uplink_values = 0.0;
-    for (std::size_t s = 0; s < pre.size(); ++s) {
-      out.client_uplink_values[s] = pre[s];
-      out.uplink_values = std::max(out.uplink_values, pre[s]);
-    }
+  out.client_uplink_values.resize(uploads_.size());
+  out.uplink_values = 0.0;
+  for (std::size_t s = 0; s < uploads_.size(); ++s) {
+    out.client_uplink_values[s] =
+        pre.empty() ? 2.0 * static_cast<double>(uploads_[s].size()) : pre[s];
+    out.uplink_values = std::max(out.uplink_values, out.client_uplink_values[s]);
   }
   out.downlink_values = 2.0 * static_cast<double>(out.update.size());
 }

@@ -1,23 +1,20 @@
 // RoundPipeline: the staged server-round machinery shared by the top-k
 // methods.
 //
-// Before this refactor FAB / FUB / unidirectional each owned a monolithic
-// round() + round_sharded() pair carrying the same state triple-booked:
-// upload workspaces (per-client AND per-thread-slot + hint store), the dense
-// aggregation arena with its stamp discipline, the sharded arenas / key
-// merger / bucket aggregator / CSR reset builder, and the payload accounting
-// tail. A synchronized round is really one composition of stages —
+// A synchronized round is one composition of stages —
 //
-//   accumulate/select uploads → (method-specific index selection)
+//   select uploads → screen → (method-specific index selection)
 //     → aggregate → resets → emit update → payload accounting
 //
 // — and only the middle step differs between methods (FAB's κ-search + fill,
 // FUB's top-k over the aggregate, unidirectional's keep-everything). The
-// pipeline owns every shared stage plus the scratch it runs on; methods hold
-// one pipeline and compose. The buffered-async engine (fl/simulation.h)
-// drives the exact same stages — a flush is a round over the arrival buffer —
-// which is what makes async ≡ sync at zero staleness testable method by
-// method.
+// pipeline owns every shared stage plus the scratch it runs on: the upload
+// workspaces (one per thread slot) and the 8-byte per-client hint store, the
+// dense aggregation arena with its stamp discipline, and the shard arenas /
+// key merger / bucket aggregator / CSR reset builder. Methods hold one
+// pipeline and compose. The buffered-async engine (fl/simulation.h) drives
+// the exact same stages — a flush is a round over the arrival buffer — which
+// is what makes async ≡ sync at zero staleness testable method by method.
 //
 // Determinism contract: each stage is bit-identical across shard counts and
 // thread counts (see shard_engine.h for the per-stage arguments); the
@@ -44,41 +41,36 @@ class RoundPipeline {
 
   std::size_t dim() const noexcept { return dim_; }
 
-  /// Shard count for the sharded stages; 1 selects the per-client-workspace
-  /// reference path everywhere. Must not flip between rounds: the hint store
-  /// moves between per-client workspaces and the fleet ClientHint array.
+  /// Client shard count for the sharded stages (at least 1). Outcomes do
+  /// not depend on it, so it may change between rounds.
   void set_sharding(std::size_t shards) noexcept;
-  std::size_t shards() const noexcept { return shards_; }
-  bool sharded() const noexcept { return shards_ > 1; }
 
   // --- stage: accumulate → prescan/select (per-client top-k uploads) --------
 
-  /// Computes every participant's top-k upload into uploads() — through the
-  /// per-client workspaces (shards == 1) or the per-slot workspaces + compact
-  /// hint store (sharded) — consuming any fused prescan views the input
-  /// carries. Byte-identical across both paths and every thread count.
+  /// Computes every participant's top-k upload (the list every later stage
+  /// reads) via the per-slot workspaces + compact per-client hint store,
+  /// consuming any fused prescan views the input carries. Byte-identical at
+  /// every thread count.
   const std::vector<SparseVector>& select_uploads(const RoundInput& in, std::size_t k);
-  std::vector<SparseVector>& uploads() noexcept { return uploads_; }
 
   // --- stage: screen uploads (sparsify/validate.h) --------------------------
 
   void set_validation(const ValidationConfig& cfg) { validator_.configure(cfg); }
-  const UploadValidator& validator() const noexcept { return validator_; }
+  /// Robust aggregation for the aggregate() stage (disabled by default).
+  void set_robust(const RobustConfig& cfg) noexcept { robust_cfg_ = cfg; }
 
-  /// Screens uploads() in place and returns the effective data weights —
-  /// in.data_weights itself (same pointer) when screening is disabled or
-  /// nothing was rejected, a renormalized internal span otherwise. Methods
-  /// must aggregate with the RETURNED span and bail to finish_degraded()
-  /// when stats.degraded is set. Runs after select_uploads (and after any
-  /// tamper hook it applied), before method-specific selection, so poisoned
-  /// entries never reach a κ search or the aggregation arena.
-  std::span<const double> validate_uploads(const RoundInput& in, ValidationStats& stats);
-
-  /// Degraded-round outcome: empty update, kNone resets, all-zero
-  /// contributed, honest uplink accounting (rejected payloads still spent
-  /// airtime), zero downlink. The engine holds weights and every client
-  /// keeps its accumulated mass.
-  void finish_degraded(const RoundInput& in, RoundOutcome& out) const;
+  /// Screens the selected uploads in place into out.validation and returns
+  /// the effective data weights — in.data_weights itself (same pointer) when
+  /// screening is disabled or nothing was rejected, a renormalized internal
+  /// span otherwise. Methods must aggregate with the RETURNED span. On a
+  /// degraded round `out` comes back finished — empty update, kNone resets,
+  /// all-zero contributed, honest uplink accounting (rejected payloads still
+  /// spent airtime), zero downlink — and the method returns it as is: the
+  /// engine holds weights and every client keeps its accumulated mass. Runs
+  /// after select_uploads (and after any tamper hook it applied), before
+  /// method-specific selection, so poisoned entries never reach a κ search
+  /// or the aggregation arena.
+  std::span<const double> validate_uploads(const RoundInput& in, RoundOutcome& out);
 
   /// The |value| threshold the next depth-k selection for `client_id` would
   /// scan with, or 0 when unknown OR when the persisted hint was produced for
@@ -97,7 +89,7 @@ class RoundPipeline {
   /// A fresh stamp token (monotonic; shared by every stage of a round).
   std::uint32_t next_token() noexcept { return ++stamp_token_; }
 
-  // --- sharded stages -------------------------------------------------------
+  // --- shard stages ---------------------------------------------------------
 
   ShardPlan make_plan(std::size_t n) const { return make_shard_plan(n, shards_); }
 
@@ -107,40 +99,31 @@ class RoundPipeline {
   /// k-bounded fixed-order tree merge of arenas [0, count)'s key runs.
   std::span<const std::uint64_t> merge_arena_keys(std::size_t count, std::size_t bound);
 
-  /// Stage: sharded weighted aggregation of uploads() into agg() under an
-  /// optional membership filter, stamping touched indices with a fresh token.
-  /// Returns the aggregator for bucket iteration (touched lists).
-  const BucketAggregator& aggregate(std::span<const double> weights, std::size_t shards,
-                                    util::ThreadPool* pool, const BucketAggregator::Filter& f);
+  /// Stage: sharded weighted aggregation of the selected uploads into agg()
+  /// under an optional membership filter, stamping touched indices with a
+  /// fresh token. Returns the aggregator for bucket iteration (touched
+  /// lists).
+  ///
+  /// With robust aggregation configured (sparsify/robust.h) each touched
+  /// coordinate is reduced with the configured robust statistic instead of
+  /// the weighted sum, and every contributing client is scored by cosine
+  /// alignment against the robust aggregate restricted to its own
+  /// coordinates — anti-aligned clients take a reputation strike through the
+  /// validator's quarantine bookkeeping, and out.robust.mean_trust carries
+  /// the round's trust for RoundFeedback damping. agg()/stamp()/touched
+  /// buckets end up exactly as the plain reduce leaves them, so emit/reset
+  /// stages compose unchanged; the disabled stage never reaches the robust
+  /// code. Like build_resets, callers must snapshot any stamp-based filter
+  /// membership BEFORE this stage re-stamps with a fresh token (the scatter
+  /// reads the filter before the reduce writes stamps, so passing a filter
+  /// over the previous token is safe).
+  const BucketAggregator& aggregate(const RoundInput& in, std::span<const double> weights,
+                                    std::size_t shards, util::ThreadPool* pool,
+                                    const BucketAggregator::Filter& f, RoundOutcome& out);
 
-  // --- stage: robust aggregation (sparsify/robust.h) ------------------------
-
-  void set_robust(const RobustConfig& cfg) noexcept { robust_cfg_ = cfg; }
-  const RobustConfig& robust() const noexcept { return robust_cfg_; }
-  bool robust_enabled() const noexcept { return !robust_cfg_.trivial(); }
-  /// Robust outcome of the last aggregate_robust() call (incl. reputation).
-  const RobustStats& robust_stats() const noexcept { return robust_stats_; }
-
-  /// Drop-in replacement for aggregate() on the robust path: reduces each
-  /// touched coordinate with the configured robust statistic instead of the
-  /// weighted sum, then scores every contributing client by cosine alignment
-  /// against the robust aggregate restricted to its own coordinates —
-  /// anti-aligned clients take a reputation strike through the validator's
-  /// quarantine bookkeeping, and robust_stats().mean_trust carries the
-  /// round's trust for RoundFeedback damping. Leaves agg()/stamp()/touched
-  /// buckets exactly as aggregate() would, so emit/reset stages compose
-  /// unchanged. Like build_resets, callers must snapshot any stamp-based
-  /// filter membership BEFORE this stage re-stamps with a fresh token (the
-  /// scatter reads the filter before the reduce writes stamps, so passing a
-  /// filter over the previous token is safe — same discipline as aggregate).
-  const BucketAggregator& aggregate_robust(const RoundInput& in,
-                                           std::span<const double> weights, std::size_t shards,
-                                           util::ThreadPool* pool,
-                                           const BucketAggregator::Filter& f);
-
-  /// Stage: client-major CSR reset lists + contributed counts from uploads()
-  /// under the same optional filter. Must run BEFORE a later stage re-stamps
-  /// the filter's membership tokens.
+  /// Stage: client-major CSR reset lists + contributed counts from the
+  /// selected uploads under the same optional filter. Must run BEFORE a later
+  /// stage re-stamps the filter's membership tokens.
   void build_resets(std::size_t shards, util::ThreadPool* pool,
                     const BucketAggregator::Filter& f, RoundOutcome& out);
 
@@ -151,8 +134,8 @@ class RoundPipeline {
 
   // --- stage: payload accounting (uplink/downlink values) -------------------
 
-  /// Fills uplink accounting from uploads() and the broadcast downlink from
-  /// the update payload (2 values per (index, value) pair).
+  /// Fills uplink accounting from the selected uploads and the broadcast
+  /// downlink from the update payload (2 values per (index, value) pair).
   void finish_payload(RoundOutcome& out) const;
 
  private:
@@ -164,17 +147,14 @@ class RoundPipeline {
   std::vector<std::uint32_t> stamp_;
   std::uint32_t stamp_token_ = 0;
 
-  // Selection state: per-client workspaces (single-shard) or per-thread-slot
-  // workspaces + 8-byte per-client hints (sharded).
-  std::vector<TopKWorkspace> topk_ws_;
+  // Selection state: per-thread-slot workspaces + 8-byte per-client hints.
   std::vector<TopKWorkspace> slot_ws_;
   std::vector<ClientHint> hints_;
   std::vector<SparseVector> uploads_;
   UploadValidator validator_;
   RobustConfig robust_cfg_;
-  RobustStats robust_stats_;
 
-  // Sharded-stage scratch.
+  // Shard-stage scratch.
   std::vector<ShardArena> arenas_;
   std::vector<std::span<const std::uint64_t>> runs_;
   std::vector<std::uint64_t> merged_keys_;

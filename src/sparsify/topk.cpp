@@ -330,38 +330,10 @@ void top_k_indices(std::span<const float> v, std::size_t k, TopKWorkspace& ws,
   for (const auto& e : ws.candidates) out.push_back(e.index);
 }
 
-namespace {
-
-// Shared fan-out skeleton of the upload variants: runs sel(s) for every slot,
-// across the pool when the work is large enough to amortize the dispatch.
-void for_each_upload_slot(std::size_t n, std::size_t total_elems,
-                          const std::function<void(std::size_t)>& sel) {
-  // Below ~64k total elements the pool dispatch costs more than the
-  // selections; the FAB round this threads (N=10, D=128k) is far above it.
-  constexpr std::size_t kParallelElemThreshold = 1u << 16;
-  util::ThreadPool* pool = tensor::parallel_pool();
-  if (pool != nullptr && pool->size() > 1 && n > 1 && total_elems >= kParallelElemThreshold) {
-    pool->parallel_for(n, sel, /*grain=*/1);
-  } else {
-    for (std::size_t s = 0; s < n; ++s) sel(s);
-  }
-}
-
-std::span<const float> upload_summary(const std::vector<std::span<const float>>& chunk_maxes,
-                                      std::size_t s) {
-  return chunk_maxes.empty() ? std::span<const float>{} : chunk_maxes[s];
-}
-
-const PrescanView* upload_prescan(const std::vector<PrescanView>* prescan, std::size_t s) {
-  return prescan == nullptr ? nullptr : &(*prescan)[s];
-}
-
-}  // namespace
-
 void top_k_uploads(const std::vector<std::span<const float>>& vecs,
                    const std::vector<std::span<const float>>& chunk_maxes, std::size_t k,
-                   std::span<const std::size_t> ids, std::vector<TopKWorkspace>& workspaces,
-                   std::vector<SparseVector>& uploads,
+                   std::span<const std::size_t> ids, std::vector<TopKWorkspace>& slot_workspaces,
+                   std::vector<ClientHint>& hints, std::vector<SparseVector>& uploads,
                    const std::vector<PrescanView>* prescan) {
   const std::size_t n = vecs.size();
   if (!chunk_maxes.empty() && chunk_maxes.size() != n) {
@@ -370,32 +342,6 @@ void top_k_uploads(const std::vector<std::span<const float>>& vecs,
   if (prescan != nullptr && prescan->size() != n) {
     throw std::invalid_argument("top_k_uploads: prescan size mismatch");
   }
-  uploads.resize(n);  // shrink-to-n keeps callers' per-client views exact
-  std::size_t ws_needed = n;
-  for (const std::size_t id : ids) ws_needed = std::max(ws_needed, id + 1);
-  if (workspaces.size() < ws_needed) workspaces.resize(ws_needed);
-  const auto ws_slot = [&](std::size_t s) { return ids.empty() ? s : ids[s]; };
-  std::size_t total = 0;
-  for (const auto& v : vecs) total += v.size();
-  for_each_upload_slot(n, total, [&](std::size_t s) {
-    top_k_entries(vecs[s], upload_summary(chunk_maxes, s), k, workspaces[ws_slot(s)],
-                  uploads[s], upload_prescan(prescan, s));
-  });
-}
-
-void top_k_uploads_fleet(const std::vector<std::span<const float>>& vecs,
-                         const std::vector<std::span<const float>>& chunk_maxes, std::size_t k,
-                         std::span<const std::size_t> ids,
-                         std::vector<TopKWorkspace>& slot_workspaces,
-                         std::vector<ClientHint>& hints, std::vector<SparseVector>& uploads,
-                         const std::vector<PrescanView>* prescan) {
-  const std::size_t n = vecs.size();
-  if (!chunk_maxes.empty() && chunk_maxes.size() != n) {
-    throw std::invalid_argument("top_k_uploads_fleet: chunk_maxes size mismatch");
-  }
-  if (prescan != nullptr && prescan->size() != n) {
-    throw std::invalid_argument("top_k_uploads_fleet: prescan size mismatch");
-  }
   uploads.resize(n);
   std::size_t hints_needed = n;
   for (const std::size_t id : ids) hints_needed = std::max(hints_needed, id + 1);
@@ -403,33 +349,29 @@ void top_k_uploads_fleet(const std::vector<std::span<const float>>& vecs,
   util::ThreadPool* pool = tensor::parallel_pool();
   const std::size_t slots = pool != nullptr ? pool->slot_count() : 1;
   if (slot_workspaces.size() < slots) slot_workspaces.resize(slots);
-  const auto hint_slot = [&](std::size_t s) { return ids.empty() ? s : ids[s]; };
-  std::size_t total = 0;
-  for (const auto& v : vecs) total += v.size();
-  for_each_upload_slot(n, total, [&](std::size_t s) {
+  const auto select_slot = [&](std::size_t s) {
     // The workspace is pure scratch except for (threshold_hint, hint_k);
     // round-tripping that pair through the per-client store makes this
     // byte-identical to a dedicated per-client workspace.
     TopKWorkspace& ws = slot_workspaces[pool != nullptr ? pool->current_slot() : 0];
-    ClientHint& hint = hints[hint_slot(s)];
+    ClientHint& hint = hints[ids.empty() ? s : ids[s]];
     ws.threshold_hint = hint.threshold;
     ws.hint_k = hint.k;
-    top_k_entries(vecs[s], upload_summary(chunk_maxes, s), k, ws, uploads[s],
-                  upload_prescan(prescan, s));
+    top_k_entries(vecs[s], chunk_maxes.empty() ? std::span<const float>{} : chunk_maxes[s], k,
+                  ws, uploads[s], prescan == nullptr ? nullptr : &(*prescan)[s]);
     hint.threshold = ws.threshold_hint;
     hint.k = static_cast<std::uint32_t>(ws.hint_k);
-  });
-}
-
-void top_k_uploads(const std::vector<std::span<const float>>& vecs, std::size_t k,
-                   std::span<const std::size_t> ids, std::vector<TopKWorkspace>& workspaces,
-                   std::vector<SparseVector>& uploads) {
-  top_k_uploads(vecs, /*chunk_maxes=*/{}, k, ids, workspaces, uploads);
-}
-
-void top_k_uploads(const std::vector<std::span<const float>>& vecs, std::size_t k,
-                   std::vector<TopKWorkspace>& workspaces, std::vector<SparseVector>& uploads) {
-  top_k_uploads(vecs, /*chunk_maxes=*/{}, k, /*ids=*/{}, workspaces, uploads);
+  };
+  // Below ~64k total elements the pool dispatch costs more than the
+  // selections; the FAB round this threads (N=10, D=128k) is far above it.
+  constexpr std::size_t kParallelElemThreshold = 1u << 16;
+  std::size_t total = 0;
+  for (const auto& v : vecs) total += v.size();
+  if (pool != nullptr && pool->size() > 1 && n > 1 && total >= kParallelElemThreshold) {
+    pool->parallel_for(n, select_slot, /*grain=*/1);
+  } else {
+    for (std::size_t s = 0; s < n; ++s) select_slot(s);
+  }
 }
 
 std::vector<std::int32_t> top_k_indices(std::span<const float> v, std::size_t k) {

@@ -58,9 +58,9 @@ constexpr bool hint_compatible(std::size_t hint_k, std::size_t k) {
 
 /// Compact per-client selection hint: the k-th |value| of the client's last
 /// selection and the k that produced it. This is the only part of a
-/// TopKWorkspace whose content affects future selections, so sharded fleets
-/// persist one ClientHint per client (8 bytes) and share full workspaces per
-/// thread slot instead of holding N of them.
+/// TopKWorkspace whose content affects future selections, so fleets persist
+/// one ClientHint per client (8 bytes) and share full workspaces per thread
+/// slot instead of holding N of them.
 struct ClientHint {
   float threshold = 0.0f;
   std::uint32_t k = 0;
@@ -95,10 +95,10 @@ struct TopKWorkspace {
   std::vector<std::uint64_t> key_scratch;  // radix-sort ping-pong buffer
 
   /// The k-th |value| of a recent selection through this workspace, and the
-  /// k that produced it. Since the per-client workspaces persist across
-  /// rounds, this seeds the next call's prefilter threshold directly —
-  /// skipping the sampling pass of the dense O(D) scan (ROADMAP:
-  /// prefilter-only first pass for the server round). The hint is replaced
+  /// k that produced it. Persisted per client across rounds (a ClientHint in
+  /// top_k_uploads, or a workspace the caller keeps), this seeds the next
+  /// call's prefilter threshold directly — skipping the sampling pass of the
+  /// dense O(D) scan. The hint is replaced
   /// by an at-least-as-deep selection (k >= hint_k) or after it failed to
   /// filter: a *successful* shallower pass — the k'-probe of the
   /// derivative-sign estimator, which reruns selection right after the real
@@ -136,48 +136,29 @@ void top_k_indices(std::span<const float> v, std::size_t k, TopKWorkspace& ws,
                    std::vector<std::int32_t>& out);
 
 /// Computes every client's top-k upload in one call: uploads[s] receives
-/// top_k_entries(vecs[s], k) using workspaces[ids[s]] (`ids` empty = slot
-/// identity; both vectors grow as needed and keep their capacity across
-/// rounds). `chunk_maxes` is slot-aligned with vecs (empty vector = no
+/// top_k_entries(vecs[s], k). Selections run through per-thread-slot
+/// workspaces (one per ThreadPool slot, shared across clients) plus a compact
+/// per-client hint store — at N=100k that is a few workspaces + 8 bytes per
+/// client instead of N multi-KB workspaces. A selection depends on workspace
+/// state only through (threshold_hint, hint_k), which is loaded from
+/// hints[ids[s]] before each select and stored back after, so the result is
+/// the same as with a dedicated per-client workspace. Keying hints by stable
+/// client id (`ids` empty = slot identity) keeps each threshold hint with its
+/// own client's accumulator when partial participation or availability
+/// churn reorders the slots; `hints` grows as needed and persists across
+/// rounds. `chunk_maxes` is slot-aligned with vecs (empty vector = no
 /// summaries anywhere; individual empty spans opt single clients out).
-/// Keying workspaces by stable client id keeps each threshold hint
-/// with its own client's accumulator when partial participation or
-/// availability churn reorders the slots. When a thread pool is registered
-/// via tensor::set_parallel_pool and the total work is large enough, the N
-/// independent selections run across the pool — each slot has its own
-/// workspace and output slot, so the result is byte-identical to the serial
-/// loop regardless of scheduling.
 /// `prescan` optionally supplies slot-aligned fused prescan views (nullptr =
-/// none; stale views are ignored per slot).
+/// none; stale views are ignored per slot). When a thread pool is registered
+/// via tensor::set_parallel_pool and the total work is large enough, the N
+/// independent selections run across the pool — each slot has its own output
+/// and each pool slot its own workspace, so the result is byte-identical to
+/// the serial loop regardless of scheduling.
 void top_k_uploads(const std::vector<std::span<const float>>& vecs,
                    const std::vector<std::span<const float>>& chunk_maxes, std::size_t k,
-                   std::span<const std::size_t> ids, std::vector<TopKWorkspace>& workspaces,
-                   std::vector<SparseVector>& uploads,
+                   std::span<const std::size_t> ids, std::vector<TopKWorkspace>& slot_workspaces,
+                   std::vector<ClientHint>& hints, std::vector<SparseVector>& uploads,
                    const std::vector<PrescanView>* prescan = nullptr);
-
-/// Fleet variant for sharded rounds: selections run through per-thread-slot
-/// workspaces (one per ThreadPool slot, shared across clients) plus a compact
-/// per-client hint store, instead of one full workspace per client — at
-/// N=100k that is S workspaces + 8 bytes per client instead of N multi-KB
-/// workspaces. Byte-identical to the per-client-workspace path: a selection
-/// depends on workspace state only through (threshold_hint, hint_k), which is
-/// loaded from hints[ids[s]] before each select and stored back after.
-/// `hints` grows as needed and persists across rounds.
-void top_k_uploads_fleet(const std::vector<std::span<const float>>& vecs,
-                         const std::vector<std::span<const float>>& chunk_maxes, std::size_t k,
-                         std::span<const std::size_t> ids,
-                         std::vector<TopKWorkspace>& slot_workspaces,
-                         std::vector<ClientHint>& hints, std::vector<SparseVector>& uploads,
-                         const std::vector<PrescanView>* prescan = nullptr);
-
-/// Dense convenience (no summaries).
-void top_k_uploads(const std::vector<std::span<const float>>& vecs, std::size_t k,
-                   std::span<const std::size_t> ids, std::vector<TopKWorkspace>& workspaces,
-                   std::vector<SparseVector>& uploads);
-
-/// Slot-identity convenience (ids = {}).
-void top_k_uploads(const std::vector<std::span<const float>>& vecs, std::size_t k,
-                   std::vector<TopKWorkspace>& workspaces, std::vector<SparseVector>& uploads);
 
 /// Allocating conveniences over the scratch API (cold paths and tests).
 std::vector<std::int32_t> top_k_indices(std::span<const float> v, std::size_t k);

@@ -10,98 +10,27 @@ namespace fedsparse::sparsify {
 
 UnidirectionalTopK::UnidirectionalTopK(std::size_t dim) : pipe_(dim) {}
 
+// Bucketed aggregation of the whole union (shard-count-independent sums),
+// per-bucket index sort concatenated into the globally index-sorted update,
+// and full-upload CSR resets via the parallel builder. Nothing here is
+// selective, so the only ordering obligations are the aggregation order (see
+// shard_engine.h) and the update's index order (buckets are ascending
+// disjoint index ranges). The downlink is the whole union, up to 2kN values.
 RoundOutcome UnidirectionalTopK::round(const RoundInput& in, std::size_t k) {
   validate_round_input(in);
-  const std::size_t n = in.client_vectors.size();
   k = std::clamp<std::size_t>(k, 1, pipe_.dim());
-  // The robust path routes through the sharded engine (at S = 1 it is the
-  // reference round with the robust reduce swapped in); the defense-off
-  // reference loop below stays bitwise untouched.
-  if (pipe_.sharded() || pipe_.robust_enabled()) return round_sharded(in, k);
-
-  // Stage: per-client selections threaded across the registered pool
-  // (deterministic: each client owns its workspace and output slot),
-  // chunk-pruned when the caller provides accumulator summaries.
-  const std::vector<SparseVector>& uploads = pipe_.select_uploads(in, k);
-
-  ValidationStats vstats;
-  const std::span<const double> weights = pipe_.validate_uploads(in, vstats);
-  if (vstats.degraded) {
-    RoundOutcome out;
-    pipe_.finish_degraded(in, out);
-    out.validation = vstats;
-    return out;
-  }
-
-  float* agg = pipe_.agg();
-  std::uint32_t* stamp = pipe_.stamp();
-  const std::uint32_t touched = pipe_.next_token();
-  union_indices_.clear();
-  for (const auto& up : uploads) {
-    for (const auto& e : up) {
-      const auto idx = static_cast<std::size_t>(e.index);
-      if (stamp[idx] != touched) {
-        stamp[idx] = touched;
-        agg[idx] = 0.0f;
-        union_indices_.push_back(e.index);
-      }
-    }
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto w = static_cast<float>(weights[i]);
-    for (const auto& e : uploads[i]) agg[static_cast<std::size_t>(e.index)] += w * e.value;
-  }
-
-  RoundOutcome out;
-  out.kind = RoundOutcome::Kind::kSparseUpdate;
-  out.validation = vstats;
-  out.update.reserve(union_indices_.size());
-  for (const std::int32_t j : union_indices_) {
-    out.update.push_back(SparseEntry{j, agg[static_cast<std::size_t>(j)]});
-  }
-  sort_by_index(out.update);
-
-  // Stage: resets — every uploaded element is used, so clients reset their
-  // full top-k sets (no membership stamp needed).
-  build_reset_lists(uploads, /*stamp=*/nullptr, 0, out);
-  // Stage: payload accounting — parallel uplinks charge the largest actual
-  // per-client payload; downlink is the whole union, up to 2kN values.
-  pipe_.finish_payload(out);
-  return out;
-}
-
-// Sharded round: bucketed aggregation of the whole union (bit-identical
-// sums), per-bucket index sort concatenated into the globally index-sorted
-// update, and full-upload CSR resets via the parallel builder. Nothing here
-// is selective, so the only equivalence obligations are the aggregation
-// order (see shard_engine.h) and the update's index order (buckets are
-// ascending disjoint index ranges).
-RoundOutcome UnidirectionalTopK::round_sharded(const RoundInput& in, std::size_t k) {
   util::ThreadPool* pool = tensor::parallel_pool();
   const ShardPlan plan = pipe_.make_plan(in.client_vectors.size());
   const std::size_t S = plan.shards();
 
   pipe_.select_uploads(in, k);
 
-  ValidationStats vstats;
-  const std::span<const double> weights = pipe_.validate_uploads(in, vstats);
-  if (vstats.degraded) {
-    RoundOutcome out;
-    pipe_.finish_degraded(in, out);
-    out.validation = vstats;
-    return out;
-  }
-
   RoundOutcome out;
-  if (pipe_.robust_enabled()) {
-    pipe_.aggregate_robust(in, weights, S, pool, /*f=*/{});
-    out.robust = pipe_.robust_stats();
-  } else {
-    pipe_.aggregate(weights, S, pool, /*f=*/{});
-  }
+  const std::span<const double> weights = pipe_.validate_uploads(in, out);
+  if (out.validation.degraded) return out;
 
-  out.kind = RoundOutcome::Kind::kSparseUpdate;
-  out.validation = vstats;
+  pipe_.aggregate(in, weights, S, pool, /*f=*/{}, out);
+
   pipe_.emit_update_from_buckets(pool, out);
 
   pipe_.build_resets(S, pool, /*f=*/{}, out);

@@ -20,7 +20,7 @@ class UnidirectionalTopK final : public Method {
   std::string name() const override { return "unidirectional_topk"; }
   RoundOutcome round(const RoundInput& in, std::size_t k) override;
 
-  /// See FabTopK::set_sharding — byte-identical at every shard count.
+  /// See Method::set_sharding — byte-identical at every shard count.
   void set_sharding(std::size_t shards) override { pipe_.set_sharding(shards); }
   void set_validation(const ValidationConfig& cfg) override { pipe_.set_validation(cfg); }
   void set_robust(const RobustConfig& cfg) override { pipe_.set_robust(cfg); }
@@ -30,11 +30,7 @@ class UnidirectionalTopK final : public Method {
   }
 
  private:
-  RoundOutcome round_sharded(const RoundInput& in, std::size_t k);
-
   RoundPipeline pipe_;
-  // Per-round scratch: the uploaded union's index list.
-  std::vector<std::int32_t> union_indices_;
 };
 
 }  // namespace fedsparse::sparsify

@@ -369,17 +369,11 @@ TEST(ByzantineRun, AttackedDefendedTraceIsThreadAndShardInvariant) {
   for (const auto& rec : t1.records) byz += rec.byzantine;
   ASSERT_GT(byz, 0u) << "the cohort never fired; the invariance check is vacuous";
 
+  // Threads 1 / 2 / 8 resolve to 1 / 3 / 9 round-engine shards.
   const auto t2 = run_fixed_k("fab_topk", 20.0, attacked_sim(2));
   const auto t8 = run_fixed_k("fab_topk", 20.0, attacked_sim(8));
   expect_identical(t1, t2, "attacked/threads=1vs2");
   expect_identical(t1, t8, "attacked/threads=1vs8");
-
-  for (const std::size_t shards : {std::size_t{2}, std::size_t{8}}) {
-    SimulationConfig cfg = attacked_sim(2);
-    cfg.shards = shards;
-    const auto sharded = run_fixed_k("fab_topk", 20.0, cfg);
-    expect_identical(t1, sharded, "attacked/shards=" + std::to_string(shards));
-  }
 }
 
 TEST(ByzantineRun, CleanRunFalsePositivesStayRareAndNeverQuarantine) {

@@ -38,6 +38,63 @@ data::SyntheticConfig tiny_dataset(std::uint64_t seed = 1) {
 
 nn::ModelFactory tiny_model() { return nn::mlp(16, {12}, 4); }
 
+// Test-side overrides of a method as the simulation sees it.
+struct MethodOverrides {
+  std::size_t shards = 0;    // > 0: pin the round engine's shard count
+  bool dense_input = false;  // strip chunk summaries + fused prescans
+};
+
+// Forwards every call to the wrapped method. A pinned shard count replaces
+// the one the simulation derives from its pool; dense input makes every
+// selection take the dense scans instead of the chunk-pruned / prescanned
+// ones.
+class OverriddenMethod final : public sparsify::Method {
+ public:
+  OverriddenMethod(std::unique_ptr<sparsify::Method> inner, MethodOverrides ov)
+      : inner_(std::move(inner)), ov_(ov) {
+    if (ov_.shards > 0) inner_->set_sharding(ov_.shards);
+  }
+
+  std::string name() const override { return inner_->name(); }
+  bool local_update_style() const override { return inner_->local_update_style(); }
+  sparsify::RoundOutcome round(const sparsify::RoundInput& in, std::size_t k) override {
+    return inner_->round(view(in), k);
+  }
+  sparsify::RoundOutcome probe_round(const sparsify::RoundInput& in, std::size_t k) override {
+    return inner_->probe_round(view(in), k);
+  }
+  void set_sharding(std::size_t shards) override {
+    if (ov_.shards == 0) inner_->set_sharding(shards);
+  }
+  void set_validation(const sparsify::ValidationConfig& cfg) override {
+    inner_->set_validation(cfg);
+  }
+  void set_robust(const sparsify::RobustConfig& cfg) override { inner_->set_robust(cfg); }
+  float upload_threshold_hint(std::size_t client_id, std::size_t k) const override {
+    return inner_->upload_threshold_hint(client_id, k);
+  }
+
+ private:
+  const sparsify::RoundInput& view(const sparsify::RoundInput& in) {
+    if (!ov_.dense_input) return in;
+    dense_ = in;
+    dense_.client_chunk_max.clear();
+    dense_.client_prescan.clear();
+    return dense_;
+  }
+
+  std::unique_ptr<sparsify::Method> inner_;
+  MethodOverrides ov_;
+  sparsify::RoundInput dense_;
+};
+
+std::unique_ptr<sparsify::Method> make_test_method(const std::string& method, std::size_t dim,
+                                                   MethodOverrides ov) {
+  auto m = sparsify::make_method(method, dim, 5);
+  if (ov.shards == 0 && !ov.dense_input) return m;
+  return std::make_unique<OverriddenMethod>(std::move(m), ov);
+}
+
 SimulationConfig engine_sim(ReplicaMode mode, std::size_t threads = 2) {
   SimulationConfig cfg;
   cfg.lr = 0.05f;
@@ -54,25 +111,25 @@ SimulationConfig engine_sim(ReplicaMode mode, std::size_t threads = 2) {
 }
 
 SimulationResult run_fixed_k(const std::string& method, double k, SimulationConfig cfg,
-                             std::uint64_t data_seed = 1) {
-  auto dataset = data::make_synthetic(tiny_dataset(data_seed));
+                             MethodOverrides ov = {}) {
+  auto dataset = data::make_synthetic(tiny_dataset(1));
   auto factory = tiny_model();
   util::Rng probe(1);
   const std::size_t dim = factory(probe)->dim();
-  Simulation sim(cfg, std::move(dataset), factory, sparsify::make_method(method, dim, 5),
+  Simulation sim(cfg, std::move(dataset), factory, make_test_method(method, dim, ov),
                  std::make_unique<online::FixedK>(k));
   return sim.run();
 }
 
 SimulationResult run_adaptive(const std::string& method, SimulationConfig cfg,
-                              std::uint64_t data_seed = 2) {
-  auto dataset = data::make_synthetic(tiny_dataset(data_seed));
+                              MethodOverrides ov = {}) {
+  auto dataset = data::make_synthetic(tiny_dataset(2));
   auto factory = tiny_model();
   util::Rng probe(1);
   const std::size_t dim = factory(probe)->dim();
   auto controller = std::make_unique<online::ExtendedSignOgd>(
       online::ExtendedSignOgd::Config{2.0, static_cast<double>(dim), 0.0, 1.5, 10});
-  Simulation sim(cfg, std::move(dataset), factory, sparsify::make_method(method, dim, 5),
+  Simulation sim(cfg, std::move(dataset), factory, make_test_method(method, dim, ov),
                  std::move(controller));
   return sim.run();
 }
@@ -179,20 +236,20 @@ TEST(SharedReplicaEngine, AdaptiveDeterministicAcrossThreadCounts) {
 
 // ---------------- tiered vs dense accumulator traversal ---------------------
 
-// The chunk-tiered round view (accumulator chunk summaries handed to the
-// methods, selection scans pruned) is a pure traversal-order optimization:
-// every trace it produces must be byte-identical to the dense path of the
-// same build, per method, across thread counts, and under churn.
+// The chunk-tiered round view (accumulator chunk summaries and fused
+// prescans handed to the methods, selection scans pruned) is a pure
+// traversal-order optimization: every trace it produces must be
+// byte-identical to a run whose methods see dense inputs only, per method,
+// across thread counts, and under churn.
 
 class TieredVsDense : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(TieredVsDense, FixedKTraceIsByteIdentical) {
   const std::string method = GetParam();
   for (const std::size_t threads : {1u, 2u, 8u}) {
-    SimulationConfig cfg = engine_sim(ReplicaMode::kShared, threads);
+    const SimulationConfig cfg = engine_sim(ReplicaMode::kShared, threads);
     const auto tiered = run_fixed_k(method, 20.0, cfg);
-    cfg.tiered_accumulators = false;
-    const auto dense = run_fixed_k(method, 20.0, cfg);
+    const auto dense = run_fixed_k(method, 20.0, cfg, {.dense_input = true});
     expect_identical(tiered, dense, method + "/threads=" + std::to_string(threads));
   }
 }
@@ -202,13 +259,12 @@ INSTANTIATE_TEST_SUITE_P(AllTopKMethods, TieredVsDense,
                                            "periodic", "send_all"));
 
 TEST(TieredVsDense, AdaptiveProbePathIsByteIdentical) {
-  // The k'-probe reruns selection through the same workspaces right after
+  // The k'-probe reruns selection through the same hint store right after
   // the real round — the hint interplay must not depend on the traversal.
   SimulationConfig cfg = engine_sim(ReplicaMode::kShared);
   cfg.max_rounds = 60;
   const auto tiered = run_adaptive("fab_topk", cfg);
-  cfg.tiered_accumulators = false;
-  const auto dense = run_adaptive("fab_topk", cfg);
+  const auto dense = run_adaptive("fab_topk", cfg, {.dense_input = true});
   expect_identical(tiered, dense, "adaptive fab_topk tiered vs dense");
 }
 
@@ -225,32 +281,27 @@ TEST(TieredVsDense, ChurnedRoundsAreByteIdentical) {
     cfg.network.rate_jitter_sigma = 0.2;
     cfg.participation = 0.7;
     const auto tiered = run_fixed_k("fab_topk", 15.0, cfg);
-    cfg.tiered_accumulators = false;
-    const auto dense = run_fixed_k("fab_topk", 15.0, cfg);
+    const auto dense = run_fixed_k("fab_topk", 15.0, cfg, {.dense_input = true});
     expect_identical(tiered, dense, "churn/threads=" + std::to_string(threads));
   }
 }
 
 // ---------------- sharded round engine ---------------------------------------
 
-// The sharded engine (per-shard arenas, fused sweeps, keyed tree merge) is a
-// pure execution-strategy change: every trace must be byte-identical to the
-// single-shard reference at every shard count, for every top-k method, under
-// churn, partial participation, and the adaptive probe.
-
-SimulationConfig sharded_sim(std::size_t shards, std::size_t threads = 2) {
-  SimulationConfig cfg = engine_sim(ReplicaMode::kShared, threads);
-  cfg.shards = shards;
-  return cfg;
-}
+// The shard count (per-shard arenas, keyed tree merge, bucketed aggregation)
+// is a pure execution-strategy choice: every trace must be byte-identical at
+// every shard count, for every top-k method, under churn, partial
+// participation, and the adaptive probe. The simulation derives the count
+// from its pool; these tests pin it through the method instead.
 
 class ShardedVsSingleShard : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(ShardedVsSingleShard, FixedKTraceIsByteIdentical) {
   const std::string method = GetParam();
-  const auto ref = run_fixed_k(method, 20.0, sharded_sim(1));
+  const SimulationConfig cfg = engine_sim(ReplicaMode::kShared);
+  const auto ref = run_fixed_k(method, 20.0, cfg, {.shards = 1});
   for (const std::size_t shards : {2u, 8u}) {
-    const auto sharded = run_fixed_k(method, 20.0, sharded_sim(shards));
+    const auto sharded = run_fixed_k(method, 20.0, cfg, {.shards = shards});
     expect_identical(ref, sharded, method + "/shards=" + std::to_string(shards));
   }
 }
@@ -259,14 +310,13 @@ INSTANTIATE_TEST_SUITE_P(AllTopKMethods, ShardedVsSingleShard,
                          ::testing::Values("fab_topk", "fub_topk", "unidirectional_topk"));
 
 TEST(ShardedEngine, AdaptiveProbePathIsByteIdentical) {
-  // Probe rounds rerun the sharded selection with k' ≠ k right after the real
-  // round; the per-client hint evolution must match the reference exactly.
+  // Probe rounds rerun the selection with k' ≠ k right after the real round;
+  // the per-client hint evolution must not depend on the shard count.
   for (const char* method : {"fab_topk", "fub_topk", "unidirectional_topk"}) {
-    SimulationConfig cfg = sharded_sim(1);
+    SimulationConfig cfg = engine_sim(ReplicaMode::kShared);
     cfg.max_rounds = 50;
-    const auto ref = run_adaptive(method, cfg);
-    cfg.shards = 8;
-    const auto sharded = run_adaptive(method, cfg);
+    const auto ref = run_adaptive(method, cfg, {.shards = 1});
+    const auto sharded = run_adaptive(method, cfg, {.shards = 8});
     expect_identical(ref, sharded, std::string(method) + " adaptive shards 1 vs 8");
   }
 }
@@ -274,23 +324,22 @@ TEST(ShardedEngine, AdaptiveProbePathIsByteIdentical) {
 TEST(ShardedEngine, ChurnAndPartialParticipationAreByteIdentical) {
   // Fluctuating participant counts cross shard-plan boundaries every round
   // (some rounds have fewer participants than shards).
+  SimulationConfig cfg = engine_sim(ReplicaMode::kShared);
+  cfg.max_rounds = 50;
+  cfg.network.p_drop = 0.35;
+  cfg.network.p_recover = 0.3;
+  cfg.network.rate_jitter_sigma = 0.2;
+  cfg.participation = 0.7;
+  const auto ref = run_fixed_k("fab_topk", 15.0, cfg, {.shards = 1});
   for (const std::size_t shards : {2u, 8u}) {
-    SimulationConfig cfg = sharded_sim(1);
-    cfg.max_rounds = 50;
-    cfg.network.p_drop = 0.35;
-    cfg.network.p_recover = 0.3;
-    cfg.network.rate_jitter_sigma = 0.2;
-    cfg.participation = 0.7;
-    const auto ref = run_fixed_k("fab_topk", 15.0, cfg);
-    cfg.shards = shards;
-    const auto sharded = run_fixed_k("fab_topk", 15.0, cfg);
+    const auto sharded = run_fixed_k("fab_topk", 15.0, cfg, {.shards = shards});
     expect_identical(ref, sharded, "churn/shards=" + std::to_string(shards));
   }
 }
 
 TEST(ShardedEngine, AutoShardSelectionIsDeterministicAcrossThreadCounts) {
-  // shards = 0 (auto) tracks the pool size: 1 / 2 / 8 threads resolve to
-  // 1 / 3 / 9 shards. Identical traces required regardless.
+  // The simulation's shard count tracks the pool size: 1 / 2 / 8 threads
+  // resolve to 1 / 3 / 9 shards. Identical traces required regardless.
   const auto t1 = run_fixed_k("fab_topk", 20.0, engine_sim(ReplicaMode::kShared, 1));
   const auto t2 = run_fixed_k("fab_topk", 20.0, engine_sim(ReplicaMode::kShared, 2));
   const auto t8 = run_fixed_k("fab_topk", 20.0, engine_sim(ReplicaMode::kShared, 8));
@@ -336,16 +385,17 @@ class FusedPrescan : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(FusedPrescan, TraceIsByteIdenticalToSeparatePasses) {
   // The fused sweep IS the hint filter's scan, executed one pass earlier:
-  // switching it off must not move a bit, sharded or not.
+  // switching it off must not move a bit, sharded or not (threads 1 / 2
+  // resolve to 1 / 3 shards).
   const std::string method = GetParam();
-  for (const std::size_t shards : {1u, 3u}) {
-    SimulationConfig cfg = sharded_sim(shards);
+  for (const std::size_t threads : {1u, 2u}) {
+    SimulationConfig cfg = engine_sim(ReplicaMode::kShared, threads);
     cfg.max_rounds = 15;
     const auto fused = run_wide(method, 64.0, cfg);
     cfg.fused_prescan = false;
     const auto separate = run_wide(method, 64.0, cfg);
     expect_identical(fused, separate,
-                     method + "/fused shards=" + std::to_string(shards));
+                     method + "/fused threads=" + std::to_string(threads));
   }
 }
 
@@ -360,7 +410,7 @@ TEST(FusedPrescanTest, AdaptiveProbeInvalidatesStaleViews) {
     auto factory = nn::mlp(256, {64}, 10);
     util::Rng probe(1);
     const std::size_t dim = factory(probe)->dim();
-    SimulationConfig cfg = sharded_sim(3);
+    SimulationConfig cfg = engine_sim(ReplicaMode::kShared);
     cfg.max_rounds = 15;
     cfg.fused_prescan = fused;
     auto controller = std::make_unique<online::ExtendedSignOgd>(

@@ -19,9 +19,14 @@
 #include <bit>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <iterator>
 #include <limits>
 #include <memory>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "data/synthetic.h"
@@ -641,6 +646,127 @@ TEST(Replay, AsyncFaultedRunReplays) {
     const ReplayResult res = replay(log, shards);
     EXPECT_EQ(res.mismatches, 0u) << "shards " << shards;
   }
+}
+
+// ---------------- untrusted replay logs --------------------------------------
+
+// A hand-built two-round log: D = 16, three clients per round.
+ReplayLog small_log() {
+  ReplayLog log;
+  log.dim = 16;
+  log.seed = 3;
+  log.method = "fab_topk";
+  for (std::uint32_t m = 1; m <= 2; ++m) {
+    ReplayRound r;
+    r.round = m;
+    r.k = 4;
+    r.client_ids = {0, 1, 2};
+    r.data_weights = {0.25, 0.25, 0.5};
+    r.vec_offsets = {0, 3, 3, 7};
+    r.vec_indices = {1, 5, 9, 0, 2, 14, 15};
+    r.vec_values = {0.5f, -1.0f, 2.0f, 0.25f, -0.75f, 1.5f, -3.0f};
+    log.rounds.push_back(r);
+  }
+  return log;
+}
+
+std::string saved_bytes(const ReplayLog& log, const std::string& path) {
+  log.save(path);
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+// True when `bytes` load as a replay log, false when load() throws
+// std::runtime_error. Any other exception escapes and fails the test.
+bool loads(const std::string& path, const std::string& bytes) {
+  std::ofstream(path, std::ios::binary | std::ios::trunc).write(bytes.data(),
+                                                                 static_cast<std::streamsize>(bytes.size()));
+  try {
+    (void)ReplayLog::load(path);
+    return true;
+  } catch (const std::runtime_error&) {
+    return false;
+  }
+}
+
+void put_u64(std::string& bytes, std::size_t at, std::uint64_t v) {
+  std::memcpy(bytes.data() + at, &v, sizeof v);
+}
+
+TEST(ReplayLoad, TruncatedLogsThrow) {
+  const std::string path = ::testing::TempDir() + "replay_truncated.bin";
+  const std::string bytes = saved_bytes(small_log(), path);
+  ASSERT_TRUE(loads(path, bytes));
+  for (std::size_t len = 0; len < bytes.size(); ++len) {
+    EXPECT_FALSE(loads(path, bytes.substr(0, len))) << "prefix of " << len << " bytes";
+  }
+  std::remove(path.c_str());
+}
+
+TEST(ReplayLoad, BitFlippedLogsThrowOrLoad) {
+  // Every single-bit flip of a valid log must either load or throw
+  // std::runtime_error — never crash, never over-allocate (the sanitizer
+  // job runs this). Flips in length prefixes, offsets and indices must be
+  // among the rejected ones.
+  const std::string path = ::testing::TempDir() + "replay_bitflip.bin";
+  const std::string bytes = saved_bytes(small_log(), path);
+  std::size_t rejected = 0;
+  for (std::size_t at = 0; at < bytes.size(); ++at) {
+    for (const int bit : {0, 3, 7}) {
+      std::string flipped = bytes;
+      flipped[at] = static_cast<char>(flipped[at] ^ (1 << bit));
+      if (!loads(path, flipped)) ++rejected;
+    }
+  }
+  std::remove(path.c_str());
+  EXPECT_GT(rejected, bytes.size() / 4);
+}
+
+TEST(ReplayLoad, OversizedLengthsThrowWithoutAllocating) {
+  const std::string path = ::testing::TempDir() + "replay_oversized.bin";
+  const std::string bytes = saved_bytes(small_log(), path);
+  ReplayLog header_only = small_log();
+  header_only.rounds.clear();
+  const std::size_t header = saved_bytes(header_only, path).size();
+  const std::size_t method_len_at = sizeof(std::uint32_t) + 2 * sizeof(std::uint64_t);
+  const std::size_t rounds_at = header - sizeof(std::uint64_t);
+  const std::size_t ids_len_at = header + 2 * sizeof(std::uint32_t);
+  for (const std::size_t at : {method_len_at, rounds_at, ids_len_at}) {
+    // 2^62 + 1 four-byte ids would overflow a 64-bit byte count to 4.
+    for (const std::uint64_t n : {std::uint64_t{1} << 40, (std::uint64_t{1} << 62) + 1,
+                                  std::numeric_limits<std::uint64_t>::max()}) {
+      std::string big = bytes;
+      put_u64(big, at, n);
+      EXPECT_FALSE(loads(path, big)) << "length " << n << " at byte " << at;
+    }
+  }
+  std::remove(path.c_str());
+}
+
+TEST(ReplayLoad, InconsistentRoundsThrowOnLoadAndReplay) {
+  const std::string path = ::testing::TempDir() + "replay_inconsistent.bin";
+  const auto broken = [](auto mutate) {
+    ReplayLog log = small_log();
+    mutate(log);
+    return log;
+  };
+  const std::vector<std::pair<const char*, ReplayLog>> cases = {
+      {"dim 0", broken([](ReplayLog& l) { l.dim = 0; })},
+      {"index == dim", broken([](ReplayLog& l) { l.rounds[1].vec_indices[6] = 16; })},
+      {"negative index", broken([](ReplayLog& l) { l.rounds[0].vec_indices[0] = -1; })},
+      {"weights/ids size", broken([](ReplayLog& l) { l.rounds[0].data_weights.pop_back(); })},
+      {"offsets count", broken([](ReplayLog& l) { l.rounds[0].vec_offsets.pop_back(); })},
+      {"offsets decrease", broken([](ReplayLog& l) { l.rounds[1].vec_offsets[2] = 2; })},
+      {"offsets start", broken([](ReplayLog& l) { l.rounds[1].vec_offsets[0] = 1; })},
+      {"offsets end", broken([](ReplayLog& l) { l.rounds[0].vec_offsets[3] = 6; })},
+      {"values size", broken([](ReplayLog& l) { l.rounds[0].vec_values.push_back(1.0f); })},
+  };
+  for (const auto& [what, log] : cases) {
+    log.save(path);
+    EXPECT_THROW(ReplayLog::load(path), std::runtime_error) << what;
+    EXPECT_THROW(replay(log, 1), std::runtime_error) << what;
+  }
+  std::remove(path.c_str());
 }
 
 // ---------------- buffered-async catch-up after >= 3 missed flushes ---------

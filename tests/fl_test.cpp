@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <memory>
+#include <ostream>
 
 #include "data/synthetic.h"
 #include "fl/client.h"
@@ -234,6 +235,10 @@ struct MethodCase {
   const char* name;
   double k;
 };
+
+// Names the test case by value; the default byte dump would embed the
+// address of `name`, which changes from run to run under ASLR.
+void PrintTo(const MethodCase& c, std::ostream* os) { *os << c.name << "_k" << c.k; }
 
 class EveryMethodConverges : public ::testing::TestWithParam<MethodCase> {};
 

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <ostream>
 
 #include "data/synthetic.h"
 #include "fl/simulation.h"
@@ -63,6 +64,12 @@ struct EdgeCase {
   double k;
   std::size_t clients;
 };
+
+// Names the test case by value; the default byte dump would embed the
+// address of `method`, which changes from run to run under ASLR.
+void PrintTo(const EdgeCase& c, std::ostream* os) {
+  *os << c.method << "_k" << c.k << "_clients" << c.clients;
+}
 
 class DegenerateConfigs : public ::testing::TestWithParam<EdgeCase> {};
 

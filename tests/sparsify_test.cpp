@@ -7,6 +7,7 @@
 #include <numeric>
 #include <set>
 #include <stdexcept>
+#include <unordered_set>
 
 #include "sparsify/accumulator.h"
 #include "sparsify/fab_topk.h"
@@ -167,34 +168,37 @@ TEST(TopK, ThresholdHintStaysExactAcrossMutatingRounds) {
   EXPECT_EQ(got, top_k_entries_heap(vs, 128));
 }
 
-// Workspaces (and so threshold hints) are keyed by stable client id, not by
-// participant slot: a churned round must not hand client 7's hint to client 2.
+// Threshold hints are keyed by stable client id, not by participant slot: a
+// churned round must not hand client 7's hint to client 2.
 TEST(TopK, UploadsKeyWorkspacesByClientId) {
   util::Rng rng(117);
   const std::size_t d = 8192, k = 64;
   std::vector<float> a = random_vector(d, rng), b = a;
   for (auto& x : b) x *= 100.0f;  // same landscape, 100x the magnitudes
   std::vector<TopKWorkspace> ws;
+  std::vector<ClientHint> hints;
   std::vector<SparseVector> uploads;
   const std::size_t ids_ab[] = {2, 7};
-  top_k_uploads({{a.data(), d}, {b.data(), d}}, k, {ids_ab, 2}, ws, uploads);
-  ASSERT_GE(ws.size(), 8u);
-  const float hint_a = ws[2].threshold_hint;
-  const float hint_b = ws[7].threshold_hint;
+  top_k_uploads({{a.data(), d}, {b.data(), d}}, {}, k, {ids_ab, 2}, ws, hints, uploads);
+  ASSERT_GE(hints.size(), 8u);
+  const float hint_a = hints[2].threshold;
+  const float hint_b = hints[7].threshold;
   EXPECT_GT(hint_a, 0.0f);
   EXPECT_FLOAT_EQ(hint_b, 100.0f * hint_a);  // each hint tracks its client
-  EXPECT_EQ(ws[0].threshold_hint, 0.0f);       // untouched slots stay empty
+  EXPECT_EQ(hints[2].k, k);
+  EXPECT_EQ(hints[0].threshold, 0.0f);  // untouched slots stay empty
   // Next round only client 7 participates, in slot 0: it must reuse ITS hint
   // and stay exact.
   std::vector<SparseVector> uploads2;
   const std::size_t ids_b[] = {7};
-  top_k_uploads({{b.data(), d}}, k, {ids_b, 1}, ws, uploads2);
+  top_k_uploads({{b.data(), d}}, {}, k, {ids_b, 1}, ws, hints, uploads2);
   EXPECT_EQ(uploads2[0], top_k_entries_heap({b.data(), d}, k));
-  EXPECT_EQ(ws[2].threshold_hint, hint_a);  // absent client's hint untouched
+  EXPECT_EQ(hints[2].threshold, hint_a);  // absent client's hint untouched
 }
 
 // top_k_uploads with a registered pool must reproduce the serial loop byte
-// for byte: each client owns its workspace and output slot.
+// for byte: each client owns its hint and output slot, each pool slot its
+// workspace. Two rounds, so the second runs on the hints the first stored.
 TEST(TopK, PooledUploadsMatchSerial) {
   util::Rng rng(111);
   const std::size_t n = 8, d = 32768, k = 100;
@@ -204,16 +208,26 @@ TEST(TopK, PooledUploadsMatchSerial) {
   for (const auto& v : vecs) views.push_back({v.data(), v.size()});
 
   std::vector<TopKWorkspace> ws_serial, ws_pooled;
+  std::vector<ClientHint> hints_serial, hints_pooled;
   std::vector<SparseVector> serial, pooled;
-  top_k_uploads(views, k, ws_serial, serial);
-
   util::ThreadPool pool(4);
-  tensor::set_parallel_pool(&pool);
-  top_k_uploads(views, k, ws_pooled, pooled);
-  tensor::set_parallel_pool(nullptr);
+  for (int round = 0; round < 2; ++round) {
+    top_k_uploads(views, {}, k, {}, ws_serial, hints_serial, serial);
+    tensor::set_parallel_pool(&pool);
+    top_k_uploads(views, {}, k, {}, ws_pooled, hints_pooled, pooled);
+    tensor::set_parallel_pool(nullptr);
 
-  ASSERT_EQ(serial.size(), pooled.size());
-  for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(serial[i], pooled[i]) << "client " << i;
+    ASSERT_EQ(serial.size(), pooled.size());
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(serial[i], pooled[i]) << "round " << round << " client " << i;
+      EXPECT_EQ(serial[i], top_k_entries_heap(views[i], k)) << "round " << round;
+      EXPECT_EQ(hints_serial[i].threshold, hints_pooled[i].threshold) << "client " << i;
+    }
+    // FAB-style consumption between rounds.
+    for (std::size_t i = 0; i < n; ++i) {
+      for (const auto& e : serial[i]) vecs[i][static_cast<std::size_t>(e.index)] *= 0.5f;
+    }
+  }
 }
 
 TEST(TopK, ScratchApiStopsAllocatingAfterWarmup) {
@@ -590,26 +604,72 @@ TEST(TopK, ChunkAwareRejectsMismatchedSummary) {
 
 // -------------------------------------------------------------- FAB-top-k --
 
+// Hash-set κ oracle: given per-client uploads sorted strongest-first, the
+// largest κ ∈ [0, k] with |∪_i J_i^κ| ≤ k. The union size is nondecreasing
+// in κ, so binary search works.
+std::size_t find_kappa(const std::vector<SparseVector>& uploads, std::size_t k) {
+  const auto union_size = [&uploads](std::size_t kappa) {
+    std::unordered_set<std::int32_t> seen;
+    for (const auto& up : uploads) {
+      const std::size_t take = std::min(kappa, up.size());
+      for (std::size_t j = 0; j < take; ++j) seen.insert(up[j].index);
+    }
+    return seen.size();
+  };
+  std::size_t lo = 0, hi = k;  // invariant: union_size(lo) <= k
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo + 1) / 2;
+    if (union_size(mid) <= k) {
+      lo = mid;
+    } else {
+      hi = mid - 1;
+    }
+  }
+  return lo;
+}
+
+// The oracle's κ against a brute-force union, and FabTopK::round's downlink
+// against the oracle: J contains every client's κ strongest uploads, is
+// filled from the (κ+1)-th layer only, and reaches k whenever κ < k.
 TEST(FabTopK, KappaSearchMatchesBruteForce) {
   util::Rng rng(3);
+  const std::size_t dim = 64;
   for (int trial = 0; trial < 20; ++trial) {
     const std::size_t n = 1 + rng.uniform_u64(5);
     const std::size_t k = 1 + rng.uniform_u64(20);
+    std::vector<std::vector<float>> vecs;
     std::vector<SparseVector> uploads(n);
     for (auto& up : uploads) {
-      std::vector<float> v = random_vector(64, rng);
-      up = top_k_entries({v.data(), v.size()}, k);
+      vecs.push_back(random_vector(dim, rng));
+      up = top_k_entries({vecs.back().data(), dim}, k);
     }
-    const std::size_t kappa = FabTopK::find_kappa(uploads, k);
-    const auto union_size = [&](std::size_t kk) {
+    const std::size_t kappa = find_kappa(uploads, k);
+    const auto prefix_union = [&](std::size_t kk) {
       std::set<std::int32_t> s;
       for (const auto& up : uploads) {
         for (std::size_t j = 0; j < std::min(kk, up.size()); ++j) s.insert(up[j].index);
       }
-      return s.size();
+      return s;
     };
-    EXPECT_LE(union_size(kappa), k);
-    if (kappa < k) EXPECT_GT(union_size(kappa + 1), k);
+    EXPECT_LE(prefix_union(kappa).size(), k);
+    if (kappa < k) {
+      EXPECT_GT(prefix_union(kappa + 1).size(), k);
+    }
+
+    FabTopK method(dim);
+    const auto out = method.round(make_input(vecs, equal_weights(n)), k);
+    std::set<std::int32_t> selected;
+    for (const auto& e : out.update) selected.insert(e.index);
+    for (const std::int32_t j : prefix_union(kappa)) {
+      EXPECT_EQ(selected.count(j), 1u) << "trial " << trial << " index " << j;
+    }
+    const auto layer = prefix_union(kappa + 1);
+    for (const std::int32_t j : selected) {
+      EXPECT_EQ(layer.count(j), 1u) << "trial " << trial << " index " << j;
+    }
+    if (kappa < k) {
+      EXPECT_EQ(selected.size(), k) << "trial " << trial;
+    }
   }
 }
 
