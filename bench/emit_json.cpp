@@ -370,15 +370,16 @@ void bench_fab_round(std::vector<KernelResult>& out) {
   }));
 }
 
-// --- shared-replica round engine: server round + apply-path scaling ---------
+// --- shared-store round engine: server round + apply-path scaling -----------
 //
 // The synchronized methods hold one global weight vector, so the broadcast
-// update is applied ONCE in O(k); the per-replica reference engine applies
-// the identical update to n separate vectors. The sweep pins the claim that
-// round time stops scaling with n on the apply path (speedup vs per-replica
-// ~ n, which is machine-portable and CI-gateable), and the printed peak-RSS
-// trail shows the per-replica side paying O(n·D) weight memory the shared
-// store never allocates.
+// update is applied ONCE in O(k). The round_apply_perreplica_* baselines
+// apply the identical update to n separate vectors — the per-client model
+// layout the engine does not have, timed here as the alternative it
+// replaces. The sweep pins the claim that round time stops scaling with n
+// on the apply path (speedup vs per-replica ~ n, which is machine-portable
+// and CI-gateable), and the printed peak-RSS trail shows the per-replica
+// layout paying O(n·D) weight memory the shared store never allocates.
 
 void bench_round_engine(std::vector<KernelResult>& out) {
   const std::size_t d = 1u << 17;   // 128k
@@ -388,9 +389,9 @@ void bench_round_engine(std::vector<KernelResult>& out) {
   // Apply-path scaling sweep, N ∈ {10, 100, 1000}. ru_maxrss is monotone
   // over the process lifetime, so the sweep runs before the ~52 MB
   // server_round block below, ALL shared points run before ANY per-replica
-  // point (shared readings never include a freed reference-engine
-  // allocation), and the per-replica points run in ascending n (each point's
-  // peak is dominated by its own replicas).
+  // point (shared readings never include a freed replica allocation), and
+  // the per-replica points run in ascending n (each point's peak is
+  // dominated by its own replicas).
   sparsify::SparseVector update;
   update.reserve(k);
   util::Rng urng(99);
@@ -679,11 +680,14 @@ void bench_fleet_scale(std::vector<KernelResult>& out, std::vector<SweepRow>& sw
       // bench has held every core busy for minutes and turbo decay alone
       // skews a later measurement by ~4% — so the gate interleaves the two:
       // alternating off/on iterations share whatever frequency the box is
-      // at, and the median per-pair ratio cancels the drift.
+      // at, and the median per-pair ratio cancels the drift. Nine measured
+      // pairs follow the warm-up pair: with three, host slow periods moved
+      // the median past the limit in 2 of 6 full runs on a shared 4-vCPU
+      // VM; with nine, in none of 6.
       util::SpanSink::instance().discard();
       std::vector<util::Span> spans;
       std::vector<double> ratios;
-      for (int pair = 0; pair < 4; ++pair) {
+      for (int pair = 0; pair < 10; ++pair) {
         const auto t0 = Clock::now();
         do_not_optimize(method.round(fleet.in, k));
         const auto t1 = Clock::now();

@@ -90,39 +90,8 @@ double Client::local_update(nn::Sequential& model, std::size_t round, std::size_
   return loss;
 }
 
-void Client::apply_sparse_update(const sparsify::SparseVector& update, float lr) {
-  sparsify::axpy_sparse(-lr, update, weights());
-}
-
-void Client::apply_dense_update(std::span<const float> update, float lr) {
-  auto w = weights();
-  if (update.size() != w.size()) {
-    throw std::invalid_argument("apply_dense_update: dimension mismatch");
-  }
-  for (std::size_t i = 0; i < w.size(); ++i) w[i] -= lr * update[i];
-}
-
 double Client::probe_loss_now(nn::Sequential& model) {
   return model.forward_loss(probe_x_, probe_y_);
-}
-
-double Client::probe_loss_shifted(nn::Sequential& model, const sparsify::SparseVector& diff,
-                                  float lr) {
-  auto w = model.weights();
-  // w'(m) differs from w(m) by lr * diff on a few coordinates: apply, eval,
-  // restore exactly (floating-point add/sub of the same quantity is not
-  // perfectly reversible, so save the original values instead).
-  std::vector<float> saved(diff.size());
-  for (std::size_t i = 0; i < diff.size(); ++i) {
-    const auto idx = static_cast<std::size_t>(diff[i].index);
-    saved[i] = w[idx];
-    w[idx] += lr * diff[i].value;
-  }
-  const double loss = model.forward_loss(probe_x_, probe_y_);
-  for (std::size_t i = 0; i < diff.size(); ++i) {
-    w[static_cast<std::size_t>(diff[i].index)] = saved[i];
-  }
-  return loss;
 }
 
 double Client::full_local_loss(nn::Sequential& model, std::size_t max_samples, util::Rng& rng) {

@@ -2,14 +2,14 @@
 // weights, and the one-sample probe losses of the derivative-sign estimator
 // (Sec. IV-E).
 //
-// A client does NOT own a model replica. In the paper's synchronized top-k
-// methods every client holds the same global weights w(m) by construction, so
-// the simulation keeps ONE shared weight vector and a small pool of
-// per-thread model workspaces (nn::Sequential instances whose weight chain is
-// rebound via bind_weights). Every compute entry point below borrows such a
-// workspace, already bound to the weights this client should see: the shared
-// store for synchronized methods, or this client's own `local weights` for
-// FedAvg-style methods and the per-replica reference engine.
+// A client does NOT own a model replica. Algorithm 1 keeps every client at
+// the same global weights w(m), so the simulation keeps ONE shared weight
+// vector and a small pool of per-thread model workspaces (nn::Sequential
+// instances whose weight chain is rebound via bind_weights). Every compute
+// entry point below borrows such a workspace, already bound to the weights
+// this client should see: the shared store, or — for FedAvg-style methods,
+// whose local weights diverge between aggregations — this client's own
+// `local weights`.
 #pragma once
 
 #include <cstdint>
@@ -19,7 +19,6 @@
 #include "data/minibatch.h"
 #include "nn/models.h"
 #include "sparsify/accumulator.h"
-#include "sparsify/sparse_vector.h"
 #include "sparsify/topk.h"
 #include "util/rng.h"
 
@@ -36,19 +35,13 @@ class Client {
 
   // --- local weight ownership ----------------------------------------------
 
-  /// Gives this client its own copy of the weights (FedAvg-style methods,
-  /// per-replica reference engine). Shared-store clients never call this and
-  /// hold no weight memory at all.
+  /// Gives this client its own copy of the weights (FedAvg-style methods).
+  /// Shared-store clients never call this and hold no weight memory at all.
   void allocate_weights(std::span<const float> init);
   bool owns_weights() const noexcept { return !weights_.empty(); }
   std::span<float> weights() noexcept { return {weights_.data(), weights_.size()}; }
   std::span<const float> weights() const noexcept { return {weights_.data(), weights_.size()}; }
   void set_weights(std::span<const float> w);
-
-  /// Applies the broadcast update to the client-owned weights:
-  /// w -= lr * dense(update). Only meaningful when owns_weights().
-  void apply_sparse_update(const sparsify::SparseVector& update, float lr);
-  void apply_dense_update(std::span<const float> update, float lr);
 
   // --- accumulated gradient ------------------------------------------------
 
@@ -99,12 +92,6 @@ class Client {
 
   /// f_{i,h} at the weights the workspace is currently bound to.
   double probe_loss_now(nn::Sequential& model);
-
-  /// f_{i,h}(w'(m)) where w' = bound weights + lr*dense(diff): applies the
-  /// delta to the bound weights temporarily, evaluates, and restores them
-  /// exactly. Only safe when this client owns the bound weights (the shared
-  /// engine shifts its store once centrally instead).
-  double probe_loss_shifted(nn::Sequential& model, const sparsify::SparseVector& diff, float lr);
 
   /// Local loss over (a subsample of) the client's full dataset at the bound
   /// weights; `max_samples == 0` means all samples.

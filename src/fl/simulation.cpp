@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <sstream>
 #include <stdexcept>
 
 #include "fl/replay.h"
@@ -15,6 +16,43 @@
 
 namespace fedsparse::fl {
 
+namespace {
+
+[[noreturn]] void reject(const char* setting, double value, const char* requirement) {
+  std::ostringstream os;
+  os << "SimulationConfig: " << setting << " = " << value << " is invalid; " << requirement;
+  throw std::invalid_argument(os.str());
+}
+
+}  // namespace
+
+void SimulationConfig::validate() const {
+  // Each test is phrased as !(valid), so a NaN setting fails it too.
+  if (!(lr > 0.0f) || !std::isfinite(lr)) {
+    reject("lr", lr, "the learning rate must be a positive finite number");
+  }
+  if (batch == 0) reject("batch", 0.0, "the minibatch needs at least one sample");
+  if (!(comm_time >= 0.0) || !std::isfinite(comm_time)) {
+    reject("comm_time", comm_time, "the communication time beta must be finite and >= 0");
+  }
+  if (!(compute_time > 0.0) || !std::isfinite(compute_time)) {
+    reject("compute_time", compute_time,
+           "the per-round compute time must be finite and > 0 (the unit of simulated time)");
+  }
+  if (!(participation > 0.0 && participation <= 1.0)) {
+    reject("participation", participation,
+           "the sampled fraction of online clients must be in (0, 1]");
+  }
+  if (!(async.staleness_lambda >= 0.0)) {
+    reject("async.staleness_lambda", async.staleness_lambda,
+           "the staleness discount 1/(1 + lambda*s) needs lambda >= 0 (0 = no discount)");
+  }
+  if (!(async.trigger_scale >= 0.0)) {
+    reject("async.trigger_scale", async.trigger_scale,
+           "the event-trigger scale must be >= 0 (0 disables triggered uploads)");
+  }
+}
+
 Simulation::Simulation(SimulationConfig cfg, data::FederatedDataset dataset,
                        nn::ModelFactory factory, std::unique_ptr<sparsify::Method> method,
                        std::unique_ptr<online::KController> controller)
@@ -26,15 +64,10 @@ Simulation::Simulation(SimulationConfig cfg, data::FederatedDataset dataset,
       evaluator_(factory_, cfg.seed ^ 0xE7A1ULL),
       pool_(cfg.threads),
       rng_(cfg.seed) {
+  cfg_.validate();
   if (!method_) throw std::invalid_argument("Simulation: null method");
   if (!controller_) throw std::invalid_argument("Simulation: null controller");
   if (dataset.clients.empty()) throw std::invalid_argument("Simulation: no clients");
-  if (cfg_.lr <= 0.0f) throw std::invalid_argument("Simulation: lr must be positive");
-  if (cfg_.batch == 0) throw std::invalid_argument("Simulation: batch must be positive");
-
-  if (cfg_.participation <= 0.0 || cfg_.participation > 1.0) {
-    throw std::invalid_argument("Simulation: participation must be in (0, 1]");
-  }
   data_weights_ = dataset.data_weights();
 
   // Master initialization: the one weight vector everything starts from. Its
@@ -58,41 +91,21 @@ Simulation::Simulation(SimulationConfig cfg, data::FederatedDataset dataset,
   resource_.weight_energy = cfg.weight_energy;
   resource_.weight_money = cfg.weight_money;
 
-  // Network & device model. The legacy compute_time_spread knob folds into
-  // the client profiles (same RNG stream as before), multiplying on top of
-  // any explicitly configured profile.
-  NetworkConfig net_cfg = cfg.network;
-  if (cfg.compute_time_spread > 0.0) {
-    if (net_cfg.profiles.empty()) net_cfg.profiles.assign(clients_.size(), ClientProfile{});
-    util::Rng het_rng(cfg.seed ^ 0x4E7E20ULL);
-    for (auto& profile : net_cfg.profiles) {
-      profile.compute_multiplier *= std::exp(het_rng.normal(0.0, cfg.compute_time_spread));
-    }
-  }
-  network_ = NetworkModel(timing_, std::move(net_cfg), clients_.size(), cfg.seed);
+  network_ = NetworkModel(timing_, cfg.network, clients_.size(), cfg.seed);
 
   // Weight layout: the shared store always holds w(m) for synchronized
-  // methods; FedAvg-style methods (diverging local weights) and the
-  // per-replica reference engine give every client its own vector.
+  // methods; FedAvg-style methods (diverging local weights) give every
+  // client its own vector.
   fedavg_style_ = method_->local_update_style();
-  if (cfg_.aggregation == AggregationMode::kBufferedAsync) {
-    if (fedavg_style_) {
-      throw std::invalid_argument(
-          "Simulation: buffered-async aggregation requires gradient-accumulating methods "
-          "(FedAvg-style local weights diverge between flushes)");
-    }
-    if (cfg_.async.staleness_lambda < 0.0) {
-      throw std::invalid_argument("Simulation: staleness_lambda must be >= 0");
-    }
-    if (cfg_.async.trigger_scale < 0.0) {
-      throw std::invalid_argument("Simulation: trigger_scale must be >= 0");
-    }
+  if (fedavg_style_ && cfg_.aggregation == AggregationMode::kBufferedAsync) {
+    throw std::invalid_argument(
+        "Simulation: buffered-async aggregation requires gradient-accumulating methods "
+        "(FedAvg-style local weights diverge between flushes)");
   }
   pending_.assign(clients_.size(), 0);
   pending_round_.assign(clients_.size(), 0);
-  per_client_weights_ = fedavg_style_ || cfg.replica_mode == ReplicaMode::kPerReplica;
   shared_weights_.assign(master->weights().begin(), master->weights().end());
-  if (per_client_weights_) {
+  if (fedavg_style_) {
     for (auto& c : clients_) c->allocate_weights(master->weights());
   }
   evaluator_.set_weights(master->weights());
@@ -136,7 +149,7 @@ Simulation::Simulation(SimulationConfig cfg, data::FederatedDataset dataset,
   util::log_info() << "Simulation: " << clients_.size() << " clients, D=" << dim_
                    << ", method=" << method_->name() << ", controller=" << controller_->name()
                    << ", beta=" << cfg.comm_time << ", engine="
-                   << (per_client_weights_ ? "per-replica" : "shared") << " ("
+                   << (fedavg_style_ ? "per-client" : "shared") << " ("
                    << workspaces_.size() << " workspaces, " << shards << " shards)";
 }
 
@@ -154,7 +167,7 @@ std::span<const float> Simulation::client_weights(std::size_t i) const {
 
 nn::Sequential& Simulation::bound_workspace(std::size_t i) {
   nn::Sequential& ws = *workspaces_[pool_.current_slot()];
-  if (per_client_weights_) {
+  if (fedavg_style_) {
     ws.bind_weights(clients_[i]->weights());
   } else {
     ws.bind_weights({shared_weights_.data(), shared_weights_.size()});
@@ -273,10 +286,7 @@ void Simulation::apply_reset(const sparsify::RoundOutcome& outcome, std::size_t 
 }
 
 std::span<const float> Simulation::global_weights() {
-  if (!fedavg_style_) {
-    if (!per_client_weights_) return {shared_weights_.data(), shared_weights_.size()};
-    return clients_[0]->weights();
-  }
+  if (!fedavg_style_) return {shared_weights_.data(), shared_weights_.size()};
   // FedAvg between synchronizations: the virtual global model is the
   // data-weighted average of the local weights, computed over disjoint index
   // ranges across the pool. Per coordinate the clients accumulate in
@@ -554,8 +564,8 @@ void Simulation::stage_compute(RoundContext& ctx) {
   // there is nothing to fuse. Buffered catch-ups do not recompute, so they
   // carry no prescan; selection falls back to scanning their chunks.
   prescan_round_ = false;
-  if (cfg_.fused_prescan && !fedavg_style_ &&
-      dim_ >= sparsify::kTopKPrefilterMinDim && ctx.k_int >= 1 && ctx.k_int < dim_) {
+  if (!fedavg_style_ && dim_ >= sparsify::kTopKPrefilterMinDim && ctx.k_int >= 1 &&
+      ctx.k_int < dim_) {
     const std::size_t cap = sparsify::topk_hint_cap(ctx.k_int);
     for (const std::size_t i : part_ids_) {
       const float t = method_->upload_threshold_hint(i, ctx.k_int);
@@ -664,46 +674,27 @@ void Simulation::stage_apply(RoundContext& ctx, SimulationResult& res) {
   // entries. An empty round exchanged nothing and touches nobody. Resets run
   // only for flushed slots, so a deferred client's accumulator keeps every
   // gradient until the flush that folds it — buffered mass cannot be lost.
-  if (!flush.empty() && per_client_weights_) {
-    // FedAvg / per-replica reference engine: every client's own vector is
-    // touched in one fused parallel pass (apply + reset per client).
-    part_slot_.assign(n, -1);
-    for (std::size_t s = 0; s < flush.size(); ++s) {
-      part_slot_[flush[s]] = static_cast<std::int32_t>(s);
-    }
-    // kLocalOnly with a local-update method means no apply AND no resets —
-    // skip the barrier entirely instead of forking n no-op tasks.
-    const bool round_touches_clients =
-        outcome.kind != sparsify::RoundOutcome::Kind::kLocalOnly || !fedavg_style_;
-    if (round_touches_clients) {
-      pool_.parallel_for(
-          n,
-          [&](std::size_t i) {
-            switch (outcome.kind) {
-              case sparsify::RoundOutcome::Kind::kSparseUpdate:
-                clients_[i]->apply_sparse_update(outcome.update, cfg_.lr);
-                break;
-              case sparsify::RoundOutcome::Kind::kDenseUpdate:
-                clients_[i]->apply_dense_update(outcome.dense, cfg_.lr);
-                break;
-              case sparsify::RoundOutcome::Kind::kWeightAverage:
-                // An offline FedAvg client misses the synchronization and
-                // keeps its diverging local weights until it rejoins.
-                // (Synchronized methods never emit kWeightAverage; their
-                // per-replica layout must mirror the shared store exactly.)
-                if (!fedavg_style_ || network_.available(i)) {
-                  clients_[i]->set_weights({outcome.dense.data(), outcome.dense.size()});
-                }
-                break;
-              case sparsify::RoundOutcome::Kind::kLocalOnly:
-                break;
-            }
-            const std::int32_t s = part_slot_[i];
-            if (!fedavg_style_ && s >= 0) {
-              apply_reset(outcome, i, static_cast<std::size_t>(s));
-            }
-          },
-          /*grain=*/1);
+  if (!flush.empty() && fedavg_style_) {
+    // FedAvg: every client owns diverging local weights. A kWeightAverage
+    // synchronization overwrites them all in one parallel pass; kLocalOnly
+    // touches nobody. FedAvg keeps no accumulators, so nothing resets.
+    switch (outcome.kind) {
+      case sparsify::RoundOutcome::Kind::kWeightAverage:
+        pool_.parallel_for(
+            n,
+            [&](std::size_t i) {
+              // An offline client misses the synchronization and keeps its
+              // diverging local weights until it rejoins.
+              if (network_.available(i)) {
+                clients_[i]->set_weights({outcome.dense.data(), outcome.dense.size()});
+              }
+            },
+            /*grain=*/1);
+        break;
+      case sparsify::RoundOutcome::Kind::kLocalOnly:
+        break;
+      default:
+        throw std::logic_error("Simulation: FedAvg-style methods emit only weight averages");
     }
   } else if (!flush.empty()) {
     // Shared store: the synchronized update is applied ONCE — O(k) sparse,
@@ -720,14 +711,10 @@ void Simulation::stage_apply(RoundContext& ctx, SimulationResult& res) {
         }
         for (std::size_t j = 0; j < sw.size(); ++j) sw[j] -= cfg_.lr * outcome.dense[j];
         break;
-      case sparsify::RoundOutcome::Kind::kWeightAverage:
-        if (outcome.dense.size() != sw.size()) {
-          throw std::invalid_argument("Simulation: weight average dimension mismatch");
-        }
-        std::copy(outcome.dense.begin(), outcome.dense.end(), sw.begin());
-        break;
       case sparsify::RoundOutcome::Kind::kLocalOnly:
         break;
+      case sparsify::RoundOutcome::Kind::kWeightAverage:
+        throw std::logic_error("Simulation: weight averages need FedAvg-style local weights");
     }
     pool_.parallel_for(
         flush.size(), [&](std::size_t s) { apply_reset(outcome, flush[s], s); },
@@ -822,47 +809,33 @@ void Simulation::stage_account(RoundContext& ctx, SimulationResult& res, double&
     probe_prev_.resize(flush.size());
     probe_cur_.resize(flush.size());
     probe_shift_.resize(flush.size());
-    if (per_client_weights_) {
+    pool_.parallel_for(
+        flush.size(),
+        [&](std::size_t s) {
+          Client& c = *clients_[flush[s]];
+          probe_prev_[s] = c.probe_loss_prev();
+          probe_cur_[s] = c.probe_loss_now(bound_workspace(flush[s]));
+        },
+        /*grain=*/1);
+    if (ctx.want_probe) {
+      // Shift the shared store to w'(m) = w(m) + lr·diff once, let every
+      // participant read it concurrently, then restore the saved values
+      // exactly (adding and subtracting the same float is not reversible).
+      const std::span<float> sw{shared_weights_.data(), shared_weights_.size()};
+      shift_saved_.resize(ctx.probe_diff.size());
+      for (std::size_t i = 0; i < ctx.probe_diff.size(); ++i) {
+        const auto idx = static_cast<std::size_t>(ctx.probe_diff[i].index);
+        shift_saved_[i] = sw[idx];
+        sw[idx] += cfg_.lr * ctx.probe_diff[i].value;
+      }
       pool_.parallel_for(
           flush.size(),
           [&](std::size_t s) {
-            Client& c = *clients_[flush[s]];
-            nn::Sequential& ws = bound_workspace(flush[s]);
-            probe_prev_[s] = c.probe_loss_prev();
-            probe_cur_[s] = c.probe_loss_now(ws);
-            if (ctx.want_probe) probe_shift_[s] = c.probe_loss_shifted(ws, ctx.probe_diff, cfg_.lr);
+            probe_shift_[s] = clients_[flush[s]]->probe_loss_now(bound_workspace(flush[s]));
           },
           /*grain=*/1);
-    } else {
-      pool_.parallel_for(
-          flush.size(),
-          [&](std::size_t s) {
-            Client& c = *clients_[flush[s]];
-            probe_prev_[s] = c.probe_loss_prev();
-            probe_cur_[s] = c.probe_loss_now(bound_workspace(flush[s]));
-          },
-          /*grain=*/1);
-      if (ctx.want_probe) {
-        // Shift the shared store to w'(m) once, let every participant read
-        // it concurrently, then restore the saved values exactly — the
-        // same save/evaluate/restore a per-replica client performs, done
-        // once instead of n times.
-        const std::span<float> sw{shared_weights_.data(), shared_weights_.size()};
-        shift_saved_.resize(ctx.probe_diff.size());
-        for (std::size_t i = 0; i < ctx.probe_diff.size(); ++i) {
-          const auto idx = static_cast<std::size_t>(ctx.probe_diff[i].index);
-          shift_saved_[i] = sw[idx];
-          sw[idx] += cfg_.lr * ctx.probe_diff[i].value;
-        }
-        pool_.parallel_for(
-            flush.size(),
-            [&](std::size_t s) {
-              probe_shift_[s] = clients_[flush[s]]->probe_loss_now(bound_workspace(flush[s]));
-            },
-            /*grain=*/1);
-        for (std::size_t i = 0; i < ctx.probe_diff.size(); ++i) {
-          sw[static_cast<std::size_t>(ctx.probe_diff[i].index)] = shift_saved_[i];
-        }
+      for (std::size_t i = 0; i < ctx.probe_diff.size(); ++i) {
+        sw[static_cast<std::size_t>(ctx.probe_diff[i].index)] = shift_saved_[i];
       }
     }
     fb.loss_prev = util::mean_of(probe_prev_);

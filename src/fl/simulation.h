@@ -6,17 +6,16 @@
 // normalized TimingModel, and the derivative-sign probe protocol of
 // Section IV-E. It records everything the paper's figures plot.
 //
-// Round engine: the paper's synchronized methods keep every client at the
-// same global weights w(m) by construction, so the engine stores ONE shared
-// weight vector plus a pool of per-thread model workspaces (activations +
+// Round engine: Algorithm 1 (Lines 13–15) keeps every client at the same
+// global weights w(m), so the engine stores ONE shared weight vector — the
+// model itself — plus a pool of per-thread model workspaces (activations +
 // gradient scratch; see nn::Sequential::bind_weights) that round tasks
-// borrow by thread slot. The broadcast update is applied once in O(k)
-// instead of once per client, and resident memory is O(D + n·D_accum) — no
-// per-client model replicas. FedAvg-style methods, whose local weights
-// genuinely diverge between aggregations, give each client its own weight
-// vector consumed through the same workspace API; ReplicaMode::kPerReplica
-// forces that layout for synchronized methods too, as the bitwise-equivalent
-// reference engine used by tests and benchmarks.
+// borrow by thread slot. The broadcast update is applied once in O(k), the
+// k'-probe shifts and restores the store once, and resident memory is
+// O(D + n·D_accum) — no per-client model replicas. Only FedAvg-style
+// methods, whose local weights genuinely diverge between aggregations, give
+// each client its own weight vector, consumed through the same workspace
+// API.
 #pragma once
 
 #include <limits>
@@ -42,16 +41,6 @@
 namespace fedsparse::fl {
 
 class RoundRecorder;
-
-/// Weight layout for synchronized (non-FedAvg) methods.
-enum class ReplicaMode {
-  /// One shared global weight vector; the update is applied once. Default.
-  kShared,
-  /// Every client owns a full weight vector and the identical update is
-  /// applied n times — the reference engine, byte-identical to kShared,
-  /// retained for equivalence tests and the round-scaling benchmark.
-  kPerReplica,
-};
 
 /// How the server folds client uploads into global updates.
 enum class AggregationMode {
@@ -135,11 +124,6 @@ struct SimulationConfig {
   double weight_energy = 0.0;
   double weight_money = 0.0;
 
-  /// Heterogeneous client resources (paper future work): per-client compute
-  /// time multipliers ~ exp(N(0, compute_time_spread)), folded into the
-  /// network model's client profiles. 0 = homogeneous.
-  double compute_time_spread = 0.0;
-
   /// Heterogeneous network & device model (fl/network.h): per-client
   /// uplink/downlink/compute profiles, per-round rate jitter, and Markov
   /// on/off availability. A trivial config (the default) reproduces the
@@ -154,17 +138,6 @@ struct SimulationConfig {
   /// uniformly each round. Non-participants still receive the broadcast
   /// update so weights remain synchronized.
   double participation = 1.0;
-
-  /// Shared-store engine (default) or per-replica reference engine.
-  ReplicaMode replica_mode = ReplicaMode::kShared;
-
-  /// Fuse accumulate → chunk-summarize → threshold-scan into one pass over
-  /// each dirty chunk (GradientAccumulator::add_scan): participants with a
-  /// valid top-k threshold hint emit their candidate keys during gradient
-  /// accumulation, and the method's selection consumes them instead of
-  /// re-scanning. Bitwise identical on/off (the fused scan IS the hint
-  /// filter's scan); false keeps the separate-pass reference for A/B timing.
-  bool fused_prescan = true;
 
   /// Synchronized barrier (default) or buffered-async flushes. FedAvg-style
   /// methods reject kBufferedAsync (diverging local weights make a buffered
@@ -201,6 +174,11 @@ struct SimulationConfig {
   /// one. Round traces are byte-identical at every thread count.
   std::size_t threads = 0;
   std::uint64_t seed = 1;
+
+  /// Throws std::invalid_argument naming the first out-of-range setting.
+  /// Every check is written so that NaN fails it. The Simulation constructor
+  /// calls this once, before it builds anything from the config.
+  void validate() const;
 };
 
 /// Installs a named network/device scenario (fl/network.h registry) into a
@@ -306,8 +284,9 @@ class Simulation {
   void set_recorder(RoundRecorder* recorder) noexcept { recorder_ = recorder; }
 
   /// Client i's current weights — for post-run invariant checks (all clients
-  /// must be identical after any GS round; Algorithm 1 Lines 13–15). Under
-  /// the shared engine every client resolves to the shared store.
+  /// must be identical after any GS round; Algorithm 1 Lines 13–15).
+  /// Synchronized methods resolve every client to the shared store;
+  /// FedAvg-style clients to their own vectors.
   std::span<const float> client_weights(std::size_t i) const;
 
  private:
@@ -398,10 +377,9 @@ class Simulation {
   util::ThreadPool pool_;
   util::Rng rng_;
   std::size_t dim_ = 0;
-  bool fedavg_style_ = false;       // method lets clients run local SGD
-  bool per_client_weights_ = false; // clients own weight vectors (FedAvg or reference engine)
+  bool fedavg_style_ = false;  // method lets clients run local SGD on own weight vectors
 
-  // The shared global weight store w(m) (synchronized methods, kShared).
+  // The shared global weight store w(m) (synchronized methods).
   std::vector<float> shared_weights_;
   // Per-thread model workspaces: slot_count() Sequentials whose weight chain
   // is rebound per task; each owns only gradients + activations.
@@ -409,7 +387,6 @@ class Simulation {
 
   // Round scratch, reused across rounds (no steady-state allocation).
   std::vector<float> fedavg_weights_;    // FedAvg weighted-average output
-  std::vector<std::int32_t> part_slot_;  // client id -> participant slot (-1 = absent)
   std::vector<std::size_t> part_ids_;    // sampled participant ids
   std::vector<std::size_t> id_scratch_;  // availability filter + Fisher–Yates buffer
   std::vector<std::size_t> compute_ids_; // participants ∪ offline local trainers

@@ -1,11 +1,13 @@
-// Shared-replica round engine tests: the shared global weight store +
-// per-thread workspace pool must be byte-identical to the per-replica
-// reference engine (same RNG splits, same RoundOutcomes, same loss curves),
-// deterministic across thread counts, and actually free of per-client model
-// replicas.
+// Shared-store round engine tests: the one shared global weight store must
+// track Algorithm 1's w(m) exactly (checked against a test-side replica
+// oracle that replays every broadcast update onto its own copy), runs must
+// be deterministic across thread counts, and no client may own a model
+// replica. The traversal tests pin tiered ≡ dense-input, sharded ≡
+// single-shard and fused ≡ separate-pass selections.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <memory>
 
 #include "data/synthetic.h"
@@ -14,6 +16,8 @@
 #include "online/extended_sign_ogd.h"
 #include "online/factory.h"
 #include "sparsify/method.h"
+#include "sparsify/sparse_vector.h"
+#include "tensor/matrix.h"
 
 namespace fedsparse::fl {
 namespace {
@@ -40,15 +44,17 @@ nn::ModelFactory tiny_model() { return nn::mlp(16, {12}, 4); }
 
 // Test-side overrides of a method as the simulation sees it.
 struct MethodOverrides {
-  std::size_t shards = 0;    // > 0: pin the round engine's shard count
-  bool dense_input = false;  // strip chunk summaries + fused prescans
+  std::size_t shards = 0;      // > 0: pin the round engine's shard count
+  bool dense_input = false;    // strip chunk summaries + fused prescans
+  bool strip_prescan = false;  // strip fused prescans only
 };
 
 // Forwards every call to the wrapped method. A pinned shard count replaces
 // the one the simulation derives from its pool; dense input makes every
 // selection take the dense scans instead of the chunk-pruned / prescanned
-// ones.
-class OverriddenMethod final : public sparsify::Method {
+// ones; a stripped prescan makes it run the separate threshold scan over
+// the chunk summaries that the fused accumulate pass would have emitted.
+class OverriddenMethod : public sparsify::Method {
  public:
   OverriddenMethod(std::unique_ptr<sparsify::Method> inner, MethodOverrides ov)
       : inner_(std::move(inner)), ov_(ov) {
@@ -58,6 +64,12 @@ class OverriddenMethod final : public sparsify::Method {
   std::string name() const override { return inner_->name(); }
   bool local_update_style() const override { return inner_->local_update_style(); }
   sparsify::RoundOutcome round(const sparsify::RoundInput& in, std::size_t k) override {
+    for (const sparsify::PrescanView& v : in.client_prescan) {
+      if (v.threshold > 0.0f) {
+        ++prescan_rounds_;
+        break;
+      }
+    }
     return inner_->round(view(in), k);
   }
   sparsify::RoundOutcome probe_round(const sparsify::RoundInput& in, std::size_t k) override {
@@ -74,28 +86,33 @@ class OverriddenMethod final : public sparsify::Method {
     return inner_->upload_threshold_hint(client_id, k);
   }
 
+  /// Server rounds whose input carried at least one executed fused prescan
+  /// (counted before any stripping).
+  std::size_t prescan_rounds() const { return prescan_rounds_; }
+
  private:
   const sparsify::RoundInput& view(const sparsify::RoundInput& in) {
-    if (!ov_.dense_input) return in;
-    dense_ = in;
-    dense_.client_chunk_max.clear();
-    dense_.client_prescan.clear();
-    return dense_;
+    if (!ov_.dense_input && !ov_.strip_prescan) return in;
+    stripped_ = in;
+    if (ov_.dense_input) stripped_.client_chunk_max.clear();
+    stripped_.client_prescan.clear();
+    return stripped_;
   }
 
   std::unique_ptr<sparsify::Method> inner_;
   MethodOverrides ov_;
-  sparsify::RoundInput dense_;
+  sparsify::RoundInput stripped_;
+  std::size_t prescan_rounds_ = 0;
 };
 
 std::unique_ptr<sparsify::Method> make_test_method(const std::string& method, std::size_t dim,
                                                    MethodOverrides ov) {
   auto m = sparsify::make_method(method, dim, 5);
-  if (ov.shards == 0 && !ov.dense_input) return m;
+  if (ov.shards == 0 && !ov.dense_input && !ov.strip_prescan) return m;
   return std::make_unique<OverriddenMethod>(std::move(m), ov);
 }
 
-SimulationConfig engine_sim(ReplicaMode mode, std::size_t threads = 2) {
+SimulationConfig engine_sim(std::size_t threads = 2) {
   SimulationConfig cfg;
   cfg.lr = 0.05f;
   cfg.batch = 8;
@@ -106,8 +123,74 @@ SimulationConfig engine_sim(ReplicaMode mode, std::size_t threads = 2) {
   cfg.eval_test_samples = 0;
   cfg.threads = threads;
   cfg.seed = 7;
-  cfg.replica_mode = mode;
   return cfg;
+}
+
+// Test-side per-replica oracle. Algorithm 1 (Lines 13–15) keeps every
+// client at the same w(m), so the engine holds one shared store. This
+// decorator keeps a replica of w(m) the long way: starting from the initial
+// weights, it applies each forwarded round's broadcast update to its own
+// copy (w -= lr·u through the library's axpy kernels, so both sides round
+// alike). Before every server round — after the previous round's apply and
+// k'-probe shift/restore — it compares every client's weights with the
+// replica bit for bit.
+class ReplicaOracle final : public OverriddenMethod {
+ public:
+  ReplicaOracle(std::unique_ptr<sparsify::Method> inner, float lr)
+      : OverriddenMethod(std::move(inner), {}), lr_(lr) {}
+
+  /// Snapshots the initial weights; call between construction and run().
+  void attach(const Simulation& sim) {
+    sim_ = &sim;
+    const auto w = sim.client_weights(0);
+    replica_.assign(w.begin(), w.end());
+  }
+
+  /// Compares every client's current weights with the replica.
+  void check() {
+    ++checks_;
+    for (std::size_t i = 0; i < sim_->num_clients(); ++i) {
+      const auto w = sim_->client_weights(i);
+      if (w.size() != replica_.size() ||
+          std::memcmp(w.data(), replica_.data(), w.size() * sizeof(float)) != 0) {
+        ++mismatches_;
+      }
+    }
+  }
+
+  sparsify::RoundOutcome round(const sparsify::RoundInput& in, std::size_t k) override {
+    check();
+    sparsify::RoundOutcome out = OverriddenMethod::round(in, k);
+    using Kind = sparsify::RoundOutcome::Kind;
+    const std::span<float> w{replica_.data(), replica_.size()};
+    if (out.kind == Kind::kSparseUpdate) {
+      sparsify::axpy_sparse(-lr_, out.update, w);
+    } else if (out.kind == Kind::kDenseUpdate) {
+      tensor::axpy(-lr_, {out.dense.data(), out.dense.size()}, w);
+    }
+    return out;
+  }
+  sparsify::RoundOutcome probe_round(const sparsify::RoundInput& in, std::size_t k) override {
+    ++probes_;
+    return OverriddenMethod::probe_round(in, k);
+  }
+
+  std::size_t checks() const { return checks_; }
+  std::size_t mismatches() const { return mismatches_; }
+  std::size_t probes() const { return probes_; }
+
+ private:
+  float lr_;
+  const Simulation* sim_ = nullptr;
+  std::vector<float> replica_;
+  std::size_t checks_ = 0;
+  std::size_t mismatches_ = 0;
+  std::size_t probes_ = 0;
+};
+
+std::unique_ptr<online::KController> adaptive_controller(std::size_t dim) {
+  return std::make_unique<online::ExtendedSignOgd>(
+      online::ExtendedSignOgd::Config{2.0, static_cast<double>(dim), 0.0, 1.5, 10});
 }
 
 SimulationResult run_fixed_k(const std::string& method, double k, SimulationConfig cfg,
@@ -127,16 +210,44 @@ SimulationResult run_adaptive(const std::string& method, SimulationConfig cfg,
   auto factory = tiny_model();
   util::Rng probe(1);
   const std::size_t dim = factory(probe)->dim();
-  auto controller = std::make_unique<online::ExtendedSignOgd>(
-      online::ExtendedSignOgd::Config{2.0, static_cast<double>(dim), 0.0, 1.5, 10});
   Simulation sim(cfg, std::move(dataset), factory, make_test_method(method, dim, ov),
-                 std::move(controller));
+                 adaptive_controller(dim));
   return sim.run();
+}
+
+// Runs `method` under the replica oracle (fixed k, or Algorithm 3 when
+// k == 0) and checks the shared store against it before every server round
+// and once more after the run.
+void expect_store_matches_replica(const std::string& method, double k, SimulationConfig cfg,
+                                  const std::string& label) {
+  auto dataset = data::make_synthetic(tiny_dataset(k > 0.0 ? 1 : 2));
+  auto factory = tiny_model();
+  util::Rng probe(1);
+  const std::size_t dim = factory(probe)->dim();
+  auto oracle_owner =
+      std::make_unique<ReplicaOracle>(sparsify::make_method(method, dim, 5), cfg.lr);
+  ReplicaOracle& oracle = *oracle_owner;
+  std::unique_ptr<online::KController> controller;
+  if (k > 0.0) {
+    controller = std::make_unique<online::FixedK>(k);
+  } else {
+    controller = adaptive_controller(dim);
+  }
+  Simulation sim(cfg, std::move(dataset), factory, std::move(oracle_owner),
+                 std::move(controller));
+  oracle.attach(sim);
+  const SimulationResult res = sim.run();
+  oracle.check();
+  EXPECT_EQ(oracle.checks(), res.rounds_run + 1) << label;
+  EXPECT_EQ(oracle.mismatches(), 0u) << label;
+  if (k == 0.0) {
+    EXPECT_GT(oracle.probes(), 0u) << label << ": the k' probe never ran";
+  }
 }
 
 // Bitwise comparison of everything a run records: round traces, loss curves,
 // k sequences, fairness totals. EXPECT_EQ on doubles is deliberate — the two
-// engines must produce the *same bits*, not merely close values.
+// runs must produce the *same bits*, not merely close values.
 void expect_identical(const SimulationResult& a, const SimulationResult& b,
                       const std::string& label) {
   ASSERT_EQ(a.records.size(), b.records.size()) << label;
@@ -165,15 +276,15 @@ void expect_identical(const SimulationResult& a, const SimulationResult& b,
   EXPECT_EQ(a.invalid_probe_rounds, b.invalid_probe_rounds) << label;
 }
 
-// ---------------- shared vs per-replica bitwise equivalence -----------------
+// ---------------- shared store vs the replica oracle ------------------------
 
 class SharedVsPerReplica : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(SharedVsPerReplica, FixedKTraceIsByteIdentical) {
+  // Sparse (top-k, periodic) and dense (send_all) updates alike are applied
+  // once to the shared store; every client must read the replica's bits.
   const std::string method = GetParam();
-  const auto shared = run_fixed_k(method, 20.0, engine_sim(ReplicaMode::kShared));
-  const auto replica = run_fixed_k(method, 20.0, engine_sim(ReplicaMode::kPerReplica));
-  expect_identical(shared, replica, method);
+  expect_store_matches_replica(method, 20.0, engine_sim(), method);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSynchronizedMethods, SharedVsPerReplica,
@@ -181,36 +292,23 @@ INSTANTIATE_TEST_SUITE_P(AllSynchronizedMethods, SharedVsPerReplica,
                                            "periodic", "send_all"));
 
 TEST(SharedReplicaEngine, AdaptiveProbePathIsByteIdentical) {
-  // The adaptive controller exercises the k'-probe: per-replica shifts every
-  // client's own weights, the shared engine shifts its store once centrally.
-  // Identical bits required either way.
+  // The adaptive controller exercises the k'-probe: the engine shifts its
+  // store to w'(m) once, evaluates every participant, and restores the
+  // saved values. The next round must start from the replica's exact bits.
   for (const char* method : {"fab_topk", "fub_topk", "unidirectional_topk"}) {
-    SimulationConfig cfg = engine_sim(ReplicaMode::kShared);
+    SimulationConfig cfg = engine_sim();
     cfg.max_rounds = 60;
-    const auto shared = run_adaptive(method, cfg);
-    cfg.replica_mode = ReplicaMode::kPerReplica;
-    const auto replica = run_adaptive(method, cfg);
-    expect_identical(shared, replica, method);
+    expect_store_matches_replica(method, 0.0, cfg, method);
   }
 }
 
 TEST(SharedReplicaEngine, PartialParticipationIsByteIdentical) {
-  // Reset lists arrive slot-indexed over the participant subset; both engines
-  // must map them onto the same clients.
-  SimulationConfig cfg = engine_sim(ReplicaMode::kShared);
+  // Reset lists arrive slot-indexed over the participant subset, and the
+  // unsampled clients still receive the broadcast: every client, sampled or
+  // not, must hold the replica's weights.
+  SimulationConfig cfg = engine_sim();
   cfg.participation = 0.4;
-  const auto shared = run_fixed_k("fab_topk", 12.0, cfg);
-  cfg.replica_mode = ReplicaMode::kPerReplica;
-  const auto replica = run_fixed_k("fab_topk", 12.0, cfg);
-  expect_identical(shared, replica, "fab_topk/participation=0.4");
-}
-
-TEST(SharedReplicaEngine, FedAvgPathIsByteIdenticalAcrossModes) {
-  // FedAvg clients own diverging weights in both modes (the workspace API is
-  // the same either way); the replica_mode knob must not change a bit.
-  const auto shared = run_fixed_k("fedavg", 20.0, engine_sim(ReplicaMode::kShared));
-  const auto replica = run_fixed_k("fedavg", 20.0, engine_sim(ReplicaMode::kPerReplica));
-  expect_identical(shared, replica, "fedavg");
+  expect_store_matches_replica("fab_topk", 12.0, cfg, "fab_topk/participation=0.4");
 }
 
 // ---------------- workspace-reuse determinism across thread counts ----------
@@ -218,16 +316,16 @@ TEST(SharedReplicaEngine, FedAvgPathIsByteIdenticalAcrossModes) {
 TEST(SharedReplicaEngine, DeterministicAcrossThreadCounts) {
   // 1 / 2 / 8 threads mean 2 / 3 / 9 workspaces and entirely different
   // task-to-workspace assignments; every trace must still be byte-identical.
-  const auto t1 = run_fixed_k("fab_topk", 20.0, engine_sim(ReplicaMode::kShared, 1));
-  const auto t2 = run_fixed_k("fab_topk", 20.0, engine_sim(ReplicaMode::kShared, 2));
-  const auto t8 = run_fixed_k("fab_topk", 20.0, engine_sim(ReplicaMode::kShared, 8));
+  const auto t1 = run_fixed_k("fab_topk", 20.0, engine_sim(1));
+  const auto t2 = run_fixed_k("fab_topk", 20.0, engine_sim(2));
+  const auto t8 = run_fixed_k("fab_topk", 20.0, engine_sim(8));
   expect_identical(t1, t2, "threads 1 vs 2");
   expect_identical(t1, t8, "threads 1 vs 8");
 }
 
 TEST(SharedReplicaEngine, AdaptiveDeterministicAcrossThreadCounts) {
-  SimulationConfig c1 = engine_sim(ReplicaMode::kShared, 1);
-  SimulationConfig c8 = engine_sim(ReplicaMode::kShared, 8);
+  SimulationConfig c1 = engine_sim(1);
+  SimulationConfig c8 = engine_sim(8);
   c1.max_rounds = c8.max_rounds = 50;
   const auto t1 = run_adaptive("fab_topk", c1);
   const auto t8 = run_adaptive("fab_topk", c8);
@@ -247,7 +345,7 @@ class TieredVsDense : public ::testing::TestWithParam<const char*> {};
 TEST_P(TieredVsDense, FixedKTraceIsByteIdentical) {
   const std::string method = GetParam();
   for (const std::size_t threads : {1u, 2u, 8u}) {
-    const SimulationConfig cfg = engine_sim(ReplicaMode::kShared, threads);
+    const SimulationConfig cfg = engine_sim(threads);
     const auto tiered = run_fixed_k(method, 20.0, cfg);
     const auto dense = run_fixed_k(method, 20.0, cfg, {.dense_input = true});
     expect_identical(tiered, dense, method + "/threads=" + std::to_string(threads));
@@ -261,7 +359,7 @@ INSTANTIATE_TEST_SUITE_P(AllTopKMethods, TieredVsDense,
 TEST(TieredVsDense, AdaptiveProbePathIsByteIdentical) {
   // The k'-probe reruns selection through the same hint store right after
   // the real round — the hint interplay must not depend on the traversal.
-  SimulationConfig cfg = engine_sim(ReplicaMode::kShared);
+  SimulationConfig cfg = engine_sim();
   cfg.max_rounds = 60;
   const auto tiered = run_adaptive("fab_topk", cfg);
   const auto dense = run_adaptive("fab_topk", cfg, {.dense_input = true});
@@ -274,7 +372,7 @@ TEST(TieredVsDense, ChurnedRoundsAreByteIdentical) {
   // chunk bounds. Traces must still match the dense traversal bit for bit
   // at every thread count.
   for (const std::size_t threads : {1u, 2u, 8u}) {
-    SimulationConfig cfg = engine_sim(ReplicaMode::kShared, threads);
+    SimulationConfig cfg = engine_sim(threads);
     cfg.max_rounds = 50;
     cfg.network.p_drop = 0.35;
     cfg.network.p_recover = 0.3;
@@ -298,7 +396,7 @@ class ShardedVsSingleShard : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(ShardedVsSingleShard, FixedKTraceIsByteIdentical) {
   const std::string method = GetParam();
-  const SimulationConfig cfg = engine_sim(ReplicaMode::kShared);
+  const SimulationConfig cfg = engine_sim();
   const auto ref = run_fixed_k(method, 20.0, cfg, {.shards = 1});
   for (const std::size_t shards : {2u, 8u}) {
     const auto sharded = run_fixed_k(method, 20.0, cfg, {.shards = shards});
@@ -313,7 +411,7 @@ TEST(ShardedEngine, AdaptiveProbePathIsByteIdentical) {
   // Probe rounds rerun the selection with k' ≠ k right after the real round;
   // the per-client hint evolution must not depend on the shard count.
   for (const char* method : {"fab_topk", "fub_topk", "unidirectional_topk"}) {
-    SimulationConfig cfg = engine_sim(ReplicaMode::kShared);
+    SimulationConfig cfg = engine_sim();
     cfg.max_rounds = 50;
     const auto ref = run_adaptive(method, cfg, {.shards = 1});
     const auto sharded = run_adaptive(method, cfg, {.shards = 8});
@@ -324,7 +422,7 @@ TEST(ShardedEngine, AdaptiveProbePathIsByteIdentical) {
 TEST(ShardedEngine, ChurnAndPartialParticipationAreByteIdentical) {
   // Fluctuating participant counts cross shard-plan boundaries every round
   // (some rounds have fewer participants than shards).
-  SimulationConfig cfg = engine_sim(ReplicaMode::kShared);
+  SimulationConfig cfg = engine_sim();
   cfg.max_rounds = 50;
   cfg.network.p_drop = 0.35;
   cfg.network.p_recover = 0.3;
@@ -340,9 +438,9 @@ TEST(ShardedEngine, ChurnAndPartialParticipationAreByteIdentical) {
 TEST(ShardedEngine, AutoShardSelectionIsDeterministicAcrossThreadCounts) {
   // The simulation's shard count tracks the pool size: 1 / 2 / 8 threads
   // resolve to 1 / 3 / 9 shards. Identical traces required regardless.
-  const auto t1 = run_fixed_k("fab_topk", 20.0, engine_sim(ReplicaMode::kShared, 1));
-  const auto t2 = run_fixed_k("fab_topk", 20.0, engine_sim(ReplicaMode::kShared, 2));
-  const auto t8 = run_fixed_k("fab_topk", 20.0, engine_sim(ReplicaMode::kShared, 8));
+  const auto t1 = run_fixed_k("fab_topk", 20.0, engine_sim(1));
+  const auto t2 = run_fixed_k("fab_topk", 20.0, engine_sim(2));
+  const auto t8 = run_fixed_k("fab_topk", 20.0, engine_sim(8));
   expect_identical(t1, t2, "auto shards, threads 1 vs 2");
   expect_identical(t1, t8, "auto shards, threads 1 vs 8");
 }
@@ -371,29 +469,36 @@ data::SyntheticConfig wide_dataset(std::uint64_t seed = 3) {
   return cfg;
 }
 
-SimulationResult run_wide(const std::string& method, double k, SimulationConfig cfg) {
+// Runs `method` on the wide model. With `strip` the selection never sees
+// the fused prescans and runs its separate threshold scan instead; the
+// prescans must still have been produced, or the comparison shows nothing.
+SimulationResult run_wide(const std::string& method, std::unique_ptr<online::KController> ctrl,
+                          SimulationConfig cfg, bool strip) {
   auto dataset = data::make_synthetic(wide_dataset());
   auto factory = nn::mlp(256, {64}, 10);  // dim 17098 >= prefilter gate
   util::Rng probe(1);
   const std::size_t dim = factory(probe)->dim();
-  Simulation sim(cfg, std::move(dataset), factory, sparsify::make_method(method, dim, 5),
-                 std::make_unique<online::FixedK>(k));
-  return sim.run();
+  auto wrapped = std::make_unique<OverriddenMethod>(sparsify::make_method(method, dim, 5),
+                                                    MethodOverrides{.strip_prescan = strip});
+  const OverriddenMethod& observed = *wrapped;
+  Simulation sim(cfg, std::move(dataset), factory, std::move(wrapped), std::move(ctrl));
+  SimulationResult res = sim.run();
+  EXPECT_GT(observed.prescan_rounds(), 0u) << method << ": no fused prescan ever ran";
+  return res;
 }
 
 class FusedPrescan : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(FusedPrescan, TraceIsByteIdenticalToSeparatePasses) {
   // The fused sweep IS the hint filter's scan, executed one pass earlier:
-  // switching it off must not move a bit, sharded or not (threads 1 / 2
-  // resolve to 1 / 3 shards).
+  // selecting from the separate scan instead must not move a bit, sharded
+  // or not (threads 1 / 2 resolve to 1 / 3 shards).
   const std::string method = GetParam();
   for (const std::size_t threads : {1u, 2u}) {
-    SimulationConfig cfg = engine_sim(ReplicaMode::kShared, threads);
+    SimulationConfig cfg = engine_sim(threads);
     cfg.max_rounds = 15;
-    const auto fused = run_wide(method, 64.0, cfg);
-    cfg.fused_prescan = false;
-    const auto separate = run_wide(method, 64.0, cfg);
+    const auto fused = run_wide(method, std::make_unique<online::FixedK>(64.0), cfg, false);
+    const auto separate = run_wide(method, std::make_unique<online::FixedK>(64.0), cfg, true);
     expect_identical(fused, separate,
                      method + "/fused threads=" + std::to_string(threads));
   }
@@ -405,21 +510,16 @@ INSTANTIATE_TEST_SUITE_P(AllTopKMethods, FusedPrescan,
 TEST(FusedPrescanTest, AdaptiveProbeInvalidatesStaleViews) {
   // Probe selections rerun with k' != k in the same round: the prescan view
   // must be ignored there (its k mismatch) without corrupting hint state.
-  auto run = [](bool fused) {
-    auto dataset = data::make_synthetic(wide_dataset());
-    auto factory = nn::mlp(256, {64}, 10);
-    util::Rng probe(1);
-    const std::size_t dim = factory(probe)->dim();
-    SimulationConfig cfg = engine_sim(ReplicaMode::kShared);
+  auto run = [](bool strip) {
+    SimulationConfig cfg = engine_sim();
     cfg.max_rounds = 15;
-    cfg.fused_prescan = fused;
+    util::Rng probe(1);
+    const auto dim = static_cast<double>(nn::mlp(256, {64}, 10)(probe)->dim());
     auto controller = std::make_unique<online::ExtendedSignOgd>(
-        online::ExtendedSignOgd::Config{2.0, static_cast<double>(dim), 0.0, 1.5, 64});
-    Simulation sim(cfg, std::move(dataset), factory, sparsify::make_method("fab_topk", dim, 5),
-                   std::move(controller));
-    return sim.run();
+        online::ExtendedSignOgd::Config{2.0, dim, 0.0, 1.5, 64});
+    return run_wide("fab_topk", std::move(controller), cfg, strip);
   };
-  expect_identical(run(true), run(false), "adaptive fused vs separate");
+  expect_identical(run(false), run(true), "adaptive fused vs separate");
 }
 
 // ---------------- weight-layout invariants ----------------------------------
@@ -429,7 +529,7 @@ TEST(SharedReplicaEngine, SynchronizedClientsResolveToTheSharedStore) {
   auto factory = tiny_model();
   util::Rng probe(1);
   const std::size_t dim = factory(probe)->dim();
-  Simulation sim(engine_sim(ReplicaMode::kShared), std::move(dataset), factory,
+  Simulation sim(engine_sim(), std::move(dataset), factory,
                  sparsify::make_method("fab_topk", dim, 5),
                  std::make_unique<online::FixedK>(10.0));
   (void)sim.run();
@@ -437,27 +537,6 @@ TEST(SharedReplicaEngine, SynchronizedClientsResolveToTheSharedStore) {
   const auto w0 = sim.client_weights(0);
   for (std::size_t i = 1; i < sim.num_clients(); ++i) {
     EXPECT_EQ(sim.client_weights(i).data(), w0.data()) << "client " << i;
-  }
-}
-
-TEST(PerReplicaEngine, ClientsOwnDistinctButIdenticalWeights) {
-  // The reference engine keeps the paper's synchronization invariant the
-  // hard way: n separate vectors that must stay bitwise in lockstep.
-  auto dataset = data::make_synthetic(tiny_dataset());
-  auto factory = tiny_model();
-  util::Rng probe(1);
-  const std::size_t dim = factory(probe)->dim();
-  Simulation sim(engine_sim(ReplicaMode::kPerReplica), std::move(dataset), factory,
-                 sparsify::make_method("fab_topk", dim, 5),
-                 std::make_unique<online::FixedK>(10.0));
-  (void)sim.run();
-  const auto w0 = sim.client_weights(0);
-  for (std::size_t i = 1; i < sim.num_clients(); ++i) {
-    const auto wi = sim.client_weights(i);
-    EXPECT_NE(wi.data(), w0.data()) << "client " << i;  // distinct storage
-    for (std::size_t j = 0; j < dim; ++j) {
-      ASSERT_EQ(w0[j], wi[j]) << "client " << i << " coord " << j;
-    }
   }
 }
 

@@ -271,12 +271,22 @@ TEST(Participation, FullParticipationSelectsEveryoneEveryRound) {
   }
 }
 
+// Heterogeneous devices: per-client compute-time multipliers drawn
+// log-normally, exp(N(0, sigma)), as the network model's client profiles.
+void spread_compute_times(fl::SimulationConfig& cfg, double sigma) {
+  util::Rng rng(cfg.seed ^ 0x4E7E20ULL);
+  cfg.network.profiles.assign(small_data().num_clients, fl::ClientProfile{});
+  for (auto& profile : cfg.network.profiles) {
+    profile.compute_multiplier = std::exp(rng.normal(0.0, sigma));
+  }
+}
+
 TEST(Heterogeneity, StragglersInflateRoundCost) {
   auto base = small_sim();
   base.max_rounds = 20;
   const auto homogeneous = run_small(base);
   auto het = base;
-  het.compute_time_spread = 0.8;
+  spread_compute_times(het, 0.8);
   const auto heterogeneous = run_small(het);
   EXPECT_GT(heterogeneous.total_time, homogeneous.total_time);
 }
@@ -287,7 +297,7 @@ TEST(Heterogeneity, PartialParticipationCanDodgeStragglers) {
   // (averaged) must be <= the full-participation straggler-bound run.
   auto full = small_sim();
   full.max_rounds = 40;
-  full.compute_time_spread = 1.0;
+  spread_compute_times(full, 1.0);
   const auto all_in = run_small(full);
   auto sampled = full;
   sampled.participation = 0.25;
@@ -299,7 +309,7 @@ TEST(Heterogeneity, PartialParticipationCanDodgeStragglers) {
 
 TEST(Heterogeneity, DeterministicGivenSeed) {
   auto cfg = small_sim();
-  cfg.compute_time_spread = 0.5;
+  spread_compute_times(cfg, 0.5);
   cfg.participation = 0.5;
   const auto a = run_small(cfg);
   const auto b = run_small(cfg);

@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <ostream>
+#include <string>
 
 #include "data/synthetic.h"
 #include "fl/client.h"
@@ -166,37 +168,6 @@ TEST(Client, GradientAccumulatesAndResets) {
   mass = 0.0;
   for (const float v : client.accumulator().value()) mass += std::fabs(v);
   EXPECT_EQ(mass, 0.0);
-}
-
-TEST(Client, ProbeLossShiftRestoresWeightsExactly) {
-  auto fed = data::make_synthetic(tiny_dataset());
-  util::Rng mrng(2);
-  auto model = tiny_model()(mrng);
-  Client client(0, std::move(fed.clients[0]), model->dim(), 7);
-  client.compute_round_gradient(*model, 1, 8);
-  std::vector<float> before(model->weights().begin(), model->weights().end());
-  sparsify::SparseVector diff{{0, 0.5f}, {5, -1.0f}};
-  (void)client.probe_loss_shifted(*model, diff, 0.1f);
-  const auto after = model->weights();
-  for (std::size_t i = 0; i < before.size(); ++i) {
-    EXPECT_EQ(before[i], after[i]) << "weight " << i << " not restored";
-  }
-}
-
-TEST(Client, SparseUpdateTouchesOnlyListedCoords) {
-  auto fed = data::make_synthetic(tiny_dataset());
-  util::Rng mrng(3);
-  auto model = tiny_model()(mrng);
-  Client client(0, std::move(fed.clients[0]), model->dim(), 9);
-  client.allocate_weights(model->weights());  // FedAvg / per-replica layout
-  std::vector<float> before(client.weights().begin(), client.weights().end());
-  client.apply_sparse_update({{2, 2.0f}, {7, -4.0f}}, 0.5f);
-  const auto after = client.weights();
-  EXPECT_FLOAT_EQ(after[2], before[2] - 1.0f);
-  EXPECT_FLOAT_EQ(after[7], before[7] + 2.0f);
-  for (std::size_t i = 0; i < before.size(); ++i) {
-    if (i != 2 && i != 7) EXPECT_EQ(after[i], before[i]);
-  }
 }
 
 TEST(Client, SharedStoreClientOwnsNoWeights) {
@@ -410,6 +381,66 @@ TEST(Simulation, ValidatesConfiguration) {
                           sparsify::make_method("fab_topk", dim, 5),
                           std::make_unique<online::FixedK>(5.0)),
                std::invalid_argument);
+}
+
+// Construction-only checks of SimulationConfig::validate(): each setting is
+// rejected before any round runs, NaN included.
+void expect_rejected(const SimulationConfig& bad) {
+  auto factory = tiny_model();
+  util::Rng probe(1);
+  const std::size_t dim = factory(probe)->dim();
+  EXPECT_THROW(Simulation(bad, data::make_synthetic(tiny_dataset()), factory,
+                          sparsify::make_method("fab_topk", dim, 5),
+                          std::make_unique<online::FixedK>(5.0)),
+               std::invalid_argument);
+}
+
+TEST(SimulationConfigValidation, RejectsNanParticipation) {
+  SimulationConfig bad = fast_sim();
+  bad.participation = std::numeric_limits<double>::quiet_NaN();
+  expect_rejected(bad);
+}
+
+TEST(SimulationConfigValidation, RejectsNanLearningRate) {
+  SimulationConfig bad = fast_sim();
+  bad.lr = std::numeric_limits<float>::quiet_NaN();
+  expect_rejected(bad);
+}
+
+TEST(SimulationConfigValidation, RejectsNegativeCommTime) {
+  SimulationConfig bad = fast_sim();
+  bad.comm_time = -1.0;
+  expect_rejected(bad);
+}
+
+TEST(SimulationConfigValidation, RejectsNonPositiveComputeTime) {
+  for (const double t : {0.0, -1.0, std::numeric_limits<double>::quiet_NaN()}) {
+    SimulationConfig bad = fast_sim();
+    bad.compute_time = t;
+    expect_rejected(bad);
+  }
+}
+
+TEST(SimulationConfigValidation, RejectsNanAsyncSettings) {
+  SimulationConfig bad = fast_sim();
+  bad.aggregation = AggregationMode::kBufferedAsync;
+  bad.async.staleness_lambda = std::numeric_limits<double>::quiet_NaN();
+  expect_rejected(bad);
+  bad.async.staleness_lambda = 0.25;
+  bad.async.trigger_scale = std::numeric_limits<double>::quiet_NaN();
+  expect_rejected(bad);
+}
+
+TEST(SimulationConfigValidation, MessageNamesTheSetting) {
+  SimulationConfig bad = fast_sim();
+  bad.participation = 1.5;
+  try {
+    bad.validate();
+    FAIL() << "participation 1.5 was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("participation"), std::string::npos) << e.what();
+  }
+  EXPECT_NO_THROW(fast_sim().validate());
 }
 
 TEST(Evaluator, LossAndAccuracyOnKnownModel) {

@@ -9,11 +9,12 @@
 // at threads 1 and 2 — the second resolves to the multi-shard round engine —
 // and both must reproduce the same file byte for byte.
 //
-// Matrix: fab/fub/unidirectional/periodic/fedavg × the uniform, churn_heavy,
-// faulty_wan and byzantine_mix scenarios, synchronized; the top-k methods
-// again under buffered async (M = 25); and FAB under Algorithm 3
-// (extended_sign_ogd), which drives the k' probe path. See
-// tests/golden/README.md for the toolchain assumptions the digests rely on.
+// Matrix: fab/fub/unidirectional/periodic/send_all/fedavg × the uniform,
+// churn_heavy, faulty_wan and byzantine_mix scenarios, synchronized; FAB
+// again at participation 0.4; the top-k methods under buffered async
+// (M = 25); and FAB under Algorithm 3 (extended_sign_ogd), which drives the
+// k' probe path. See tests/golden/README.md for the toolchain assumptions
+// the digests rely on.
 //
 // An intentional behaviour change regenerates the files with
 //   FEDSPARSE_GOLDEN_UPDATE=1 ./build/golden_test
@@ -61,6 +62,8 @@ struct GoldenCase {
   // Fixed sparsity degree. FedAvg averages every ⌊D/(2k)⌋ rounds, so its
   // case uses a larger k to aggregate within the run.
   double k = 40.0;
+  // Fraction of the online clients sampled each round.
+  double participation = 1.0;
 };
 
 // Names the test case after its golden file; the default byte dump would
@@ -113,6 +116,7 @@ std::string run_section(const GoldenCase& g, const std::string& scenario, std::s
   cfg.eval_test_samples = 0;
   cfg.threads = threads;
   cfg.seed = 11;
+  cfg.participation = g.participation;
   apply_scenario(make_scenario(scenario, kClients, 3), cfg);
   if (g.async) {
     cfg.aggregation = AggregationMode::kBufferedAsync;
@@ -160,9 +164,15 @@ std::string run_section(const GoldenCase& g, const std::string& scenario, std::s
 }
 
 std::string run_case(const GoldenCase& g, std::size_t threads) {
-  std::string out = std::string("# ") + g.method + (g.async ? " buffered-async M=25" : " sync") +
-                    (g.adaptive ? " extended_sign_ogd" : " fixed k=" + std::to_string(static_cast<long>(g.k))) +
-                    "\n";
+  std::ostringstream head;
+  head << "# " << g.method << (g.async ? " buffered-async M=25" : " sync");
+  if (g.adaptive) {
+    head << " extended_sign_ogd";
+  } else {
+    head << " fixed k=" << static_cast<long>(g.k);
+  }
+  if (g.participation < 1.0) head << " participation=" << g.participation;
+  std::string out = head.str() + "\n";
   for (const char* scenario : kScenarios) out += run_section(g, scenario, threads);
   return out;
 }
@@ -194,6 +204,8 @@ INSTANTIATE_TEST_SUITE_P(
                       GoldenCase{"fub_topk_sync", "fub_topk"},
                       GoldenCase{"unidirectional_topk_sync", "unidirectional_topk"},
                       GoldenCase{"periodic_sync", "periodic"},
+                      GoldenCase{"send_all_sync", "send_all"},
+                      GoldenCase{"fab_topk_partial", "fab_topk", false, false, 40.0, 0.4},
                       GoldenCase{"fedavg_sync", "fedavg", false, false, 600.0},
                       GoldenCase{"fab_topk_async", "fab_topk", true},
                       GoldenCase{"fub_topk_async", "fub_topk", true},
