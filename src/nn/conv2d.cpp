@@ -65,15 +65,17 @@ void Conv2d::forward(const Matrix& x, Matrix& y) {
   }
 }
 
-void Conv2d::backward(const Matrix& dy, Matrix& dx) {
+void Conv2d::backward_into(const Matrix& dy, Matrix* dx) {
   const std::size_t batch = dy.rows();
   const std::size_t spatial = geom_.col_cols();
   const std::size_t ckk = geom_.col_rows();
   if (cols_cache_.rows() != batch || cols_cache_.cols() != ckk * spatial) {
     throw std::logic_error("Conv2d::backward: no cached forward for this batch");
   }
-  dx.reshape(batch, geom_.image_size());
-  tensor::zero(dx.flat());
+  if (dx != nullptr) {
+    dx->reshape(batch, geom_.image_size());
+    tensor::zero(dx->flat());
+  }
   const tensor::ConstMatrixView w(w_, out_channels_, ckk);
   const tensor::MatrixView gw(gw_, out_channels_, ckk);
   for (std::size_t s = 0; s < batch; ++s) {
@@ -88,11 +90,12 @@ void Conv2d::backward(const Matrix& dy, Matrix& dx) {
     }
     // dW += dy · colsᵀ (rows-dot-rows over the shared spatial axis).
     tensor::gemm_nt(dys, cols, 1.0f, gw);
+    if (dx == nullptr) continue;
     // dcols = Wᵀ · dy; then scatter back to image space.
     dcols_.reshape(ckk, spatial);
     tensor::zero(dcols_.flat());
     tensor::gemm_tn(w, dys, 1.0f, dcols_);
-    tensor::col2im(dcols_, geom_, dx.row(s));
+    tensor::col2im(dcols_, geom_, dx->row(s));
   }
 }
 

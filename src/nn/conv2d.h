@@ -22,13 +22,17 @@ class Conv2d final : public Layer {
   std::size_t out_features(std::size_t in_features) const override;
   void set_grad_enabled(bool enabled) override { grad_enabled_ = enabled; }
   void forward(const Matrix& x, Matrix& y) override;
-  void backward(const Matrix& dy, Matrix& dx) override;
+  void backward(const Matrix& dy, Matrix& dx) override { backward_into(dy, &dx); }
+  void backward_params(const Matrix& dy, Matrix&) override { backward_into(dy, nullptr); }
   std::string name() const override;
 
   std::size_t out_channels() const noexcept { return out_channels_; }
   const tensor::ConvGeometry& geometry() const noexcept { return geom_; }
 
  private:
+  // Parameter gradients, then dx when `dx` is non-null.
+  void backward_into(const Matrix& dy, Matrix* dx);
+
   tensor::ConvGeometry geom_;
   std::size_t out_channels_;
   std::span<float> w_;   // (out_channels x C*k*k) row-major

@@ -58,6 +58,12 @@ class Layer {
   /// Parameter gradients are *accumulated* into the bound grad span.
   virtual void backward(const Matrix& dy, Matrix& dx) = 0;
 
+  /// Backward pass whose input gradient nobody reads (a model's first
+  /// layer): accumulates the parameter gradients exactly as backward() does.
+  /// The default runs backward() into `dx_scratch`; layers whose dx costs
+  /// real work skip it.
+  virtual void backward_params(const Matrix& dy, Matrix& dx_scratch) { backward(dy, dx_scratch); }
+
   virtual std::string name() const = 0;
 };
 

@@ -45,7 +45,7 @@ void Linear::forward(const Matrix& x, Matrix& y) {
   tensor::gemm_nt(x, tensor::ConstMatrixView(w_, out_, in_), 1.0f, y);
 }
 
-void Linear::backward(const Matrix& dy, Matrix& dx) {
+void Linear::backward_into(const Matrix& dy, Matrix* dx) {
   const std::size_t batch = dy.rows();
   if (x_cache_.rows() != batch) {
     throw std::logic_error("Linear::backward: no cached forward for this batch");
@@ -56,10 +56,11 @@ void Linear::backward(const Matrix& dy, Matrix& dx) {
     const float* dyr = dy.row(r);
     for (std::size_t o = 0; o < out_; ++o) gb_[o] += dyr[o];
   }
+  if (dx == nullptr) return;
   // dx = dy · W: the view API accumulates, so clear once after the reshape.
-  dx.reshape(batch, in_);
-  tensor::zero(dx.flat());
-  tensor::gemm_nn(dy, tensor::ConstMatrixView(w_, out_, in_), 1.0f, dx);
+  dx->reshape(batch, in_);
+  tensor::zero(dx->flat());
+  tensor::gemm_nn(dy, tensor::ConstMatrixView(w_, out_, in_), 1.0f, *dx);
 }
 
 std::string Linear::name() const {

@@ -15,10 +15,14 @@ class Linear final : public Layer {
   std::size_t out_features(std::size_t in_features) const override;
   void set_grad_enabled(bool enabled) override { grad_enabled_ = enabled; }
   void forward(const Matrix& x, Matrix& y) override;
-  void backward(const Matrix& dy, Matrix& dx) override;
+  void backward(const Matrix& dy, Matrix& dx) override { backward_into(dy, &dx); }
+  void backward_params(const Matrix& dy, Matrix&) override { backward_into(dy, nullptr); }
   std::string name() const override;
 
  private:
+  // Parameter gradients, then dx when `dx` is non-null.
+  void backward_into(const Matrix& dy, Matrix* dx);
+
   std::size_t in_;
   std::size_t out_;
   // Views into the model's flat vectors: W is (out x in) row-major, b follows.

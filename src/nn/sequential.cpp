@@ -80,10 +80,12 @@ double Sequential::forward_loss_grad(const Matrix& x, std::span<const int> label
   Matrix grad_flow;
   const double loss = SoftmaxCrossEntropy::loss_and_grad(logits, labels, grad_flow);
   Matrix next;
-  for (std::size_t i = layers_.size(); i-- > 0;) {
+  for (std::size_t i = layers_.size(); i-- > 1;) {
     layers_[i]->backward(grad_flow, next);
     std::swap(grad_flow, next);
   }
+  // Nothing reads the model input's gradient.
+  layers_[0]->backward_params(grad_flow, next);
   return loss;
 }
 

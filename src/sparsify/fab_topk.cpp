@@ -5,6 +5,8 @@
 #include "sparsify/keys.h"
 #include "sparsify/topk.h"
 #include "tensor/matrix.h"
+#include "util/contracts.h"
+#include "util/stats.h"
 #include "util/thread_pool.h"
 
 namespace fedsparse::sparsify {
@@ -166,6 +168,57 @@ RoundOutcome FabTopK::round(const RoundInput& in, std::size_t k) {
   pipe_.emit_update_from_buckets(pool, out);
 
   pipe_.finish_payload(out);
+  pipe_.keep_probe_basis(in, k);
+  return out;
+}
+
+// A derived probe at depth k′ < k, phase by phase, each equal to what
+// round(in, k′) computes:
+//
+//  * κ′ — round(in, k′) sees only prefix depths < k′, and an index's min
+//    depth below k′ is the same in both rounds, so its growth histogram is
+//    this round's truncated to k′. The walk is O(k′).
+//  * J′ — the depth-<κ′ prefix union (κ′ ≤ κ, so inside J; the round's depth
+//    map in arena 0 still holds every J member's min depth), then the fill
+//    from each client's entry at depth κ′, strongest first, first-occurrence
+//    dedup. The fill is N keys, so it runs serially.
+//  * Sums and order — see RoundPipeline::emit_probe_update.
+RoundOutcome FabTopK::probe_round(const RoundInput& in, std::size_t k) {
+  k = std::clamp<std::size_t>(k, 1, pipe_.dim());
+  if (!pipe_.derives_probe(in, k)) return pipe_.keeping_hints([&] { return round(in, k); });
+  FEDSPARSE_SPAN("pipeline_probe");
+  util::ThreadPool* pool = tensor::parallel_pool();
+
+  std::size_t prefix = 0, kappa = 0;
+  for (std::size_t j = 0; j < k && prefix + union_growth_[j] <= k; ++j) {
+    prefix += union_growth_[j];
+    kappa = j + 1;
+  }
+
+  const std::uint32_t in_j = pipe_.next_token();
+  const std::uint32_t* depth = pipe_.arenas(1)[0].aux.data();
+  std::size_t selected = pipe_.admit_probe_prefix(depth, kappa, in_j, pool);
+  FEDSPARSE_CONTRACT(selected == prefix, "derived probe prefix disagrees with the histogram");
+
+  if (selected < k) {
+    const std::uint32_t* stamp = pipe_.stamp();
+    probe_keys_.clear();
+    for (const SparseVector& up : pipe_.uploads()) {
+      if (std::min(up.size(), k) <= kappa) continue;
+      const SparseEntry& e = up[kappa];
+      if (stamp[static_cast<std::size_t>(e.index)] != in_j) {
+        probe_keys_.push_back(make_key(e.value, static_cast<std::size_t>(e.index)));
+      }
+    }
+    sort_keys_desc(probe_keys_, probe_key_scratch_);
+    for (const std::uint64_t key : probe_keys_) {
+      if (selected >= k) break;
+      if (pipe_.admit_probe_index(static_cast<std::int32_t>(key_index(key)), in_j)) ++selected;
+    }
+  }
+
+  RoundOutcome out;
+  pipe_.emit_probe_update(k, in_j, pool, out);
   return out;
 }
 

@@ -16,7 +16,8 @@
 //
 // The shared stages (selection, shard arenas, aggregation, reset builder,
 // payload accounting) live in RoundPipeline; this class owns only the
-// FAB-specific middle: the κ search and the fill.
+// FAB-specific middle: the κ search and the fill, and their k′-probe
+// counterparts derived from the round's own state.
 #pragma once
 
 #include "sparsify/method.h"
@@ -31,6 +32,15 @@ class FabTopK final : public Method {
   std::string name() const override { return "fab_topk"; }
   RoundOutcome round(const RoundInput& in, std::size_t k) override;
 
+  /// The k′ probe. Right after round(in, k) with k′ < k — and with no tamper
+  /// hook, screening or robust aggregation — it derives update(k′) from that
+  /// round's state: κ′ from the union-growth histogram, J′ from the round's
+  /// depth map and fill candidates, the sums from its scatter buffer, the
+  /// order from its sorted J. Anything else runs round(in, k′) with the hint
+  /// store saved and restored. Either way the update is bitwise round(in,
+  /// k′)'s, and no selection state changes.
+  RoundOutcome probe_round(const RoundInput& in, std::size_t k) override;
+
   /// Client shards for the round engine (see Method::set_sharding). Outcomes
   /// are byte-identical at every shard count.
   void set_sharding(std::size_t shards) override { pipe_.set_sharding(shards); }
@@ -44,8 +54,11 @@ class FabTopK final : public Method {
  private:
   RoundPipeline pipe_;
   // The κ search's union-growth histogram (reused; steady-state rounds
-  // allocate nothing).
+  // allocate nothing). A derived probe reads the last round's.
   std::vector<std::size_t> union_growth_;
+  // A derived probe's fill candidates and their radix scratch.
+  std::vector<std::uint64_t> probe_keys_;
+  std::vector<std::uint64_t> probe_key_scratch_;
 };
 
 }  // namespace fedsparse::sparsify

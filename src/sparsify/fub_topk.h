@@ -20,6 +20,10 @@ class FubTopK final : public Method {
 
   std::string name() const override { return "fub_topk"; }
   RoundOutcome round(const RoundInput& in, std::size_t k) override;
+  /// round(in, k) without committing the selection hints it would update.
+  RoundOutcome probe_round(const RoundInput& in, std::size_t k) override {
+    return pipe_.keeping_hints([&] { return round(in, k); });
+  }
 
   /// See Method::set_sharding — byte-identical at every shard count.
   void set_sharding(std::size_t shards) override { pipe_.set_sharding(shards); }

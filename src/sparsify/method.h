@@ -164,10 +164,18 @@ class Method {
   /// (already integer via stochastic rounding; clamped to [1, D] by callers).
   virtual RoundOutcome round(const RoundInput& in, std::size_t k) = 0;
 
-  /// Evaluates what `round(in, k)` *would* produce without committing any
-  /// internal state — used for the k'_m probe of the derivative-sign
-  /// estimator (Section IV-E). Stateless methods inherit this default;
-  /// stateful ones (periodic-k) override it to snapshot/restore.
+  /// The k'_m probe of the derivative-sign estimator (Section IV-E): the
+  /// update `round(in, k)` *would* broadcast, without committing any
+  /// internal state (permutation cursors, selection hints).
+  ///
+  /// Contract: the returned outcome carries only `kind` and `update` —
+  /// bitwise round(in, k)'s. Reset lists, contributions, payload sizes and
+  /// screening/robust statistics may be left empty, and callers read
+  /// nothing else. A probe may derive its update from the round the method
+  /// just ran (FabTopK does, for k below that round's k): callers probe with
+  /// the same RoundInput and leave the client vectors unchanged in between.
+  /// Stateless methods inherit this default; stateful ones (periodic-k, the
+  /// top-k methods' hint store) override it to snapshot/restore.
   virtual RoundOutcome probe_round(const RoundInput& in, std::size_t k) { return round(in, k); }
 
   /// Splits the top-k round engine's server passes across `shards` client

@@ -1,9 +1,12 @@
 #include "sparsify/round_pipeline.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstring>
 
 #include "sparsify/accumulator.h"
+#include "sparsify/keys.h"
 #include "util/contracts.h"
 #include "util/stats.h"
 #include "util/thread_pool.h"
@@ -55,6 +58,7 @@ const std::vector<SparseVector>& RoundPipeline::select_uploads(const RoundInput&
   FEDSPARSE_SPAN("pipeline_select");
   const std::vector<PrescanView>* pre =
       in.client_prescan.empty() ? nullptr : &in.client_prescan;
+  basis_valid_ = false;
   top_k_uploads(in.client_vectors, in.client_chunk_max, k, in.client_ids, slot_ws_, hints_,
                 uploads_, pre);
 #ifdef FEDSPARSE_CONTRACTS
@@ -210,6 +214,112 @@ void RoundPipeline::emit_update_from_buckets(util::ThreadPool* pool, RoundOutcom
     std::size_t pos = bucket_offsets_[b];
     for (const std::int32_t j : ar.touched) {
       out.update[pos++] = SparseEntry{j, agg_[static_cast<std::size_t>(j)]};
+    }
+  });
+}
+
+void RoundPipeline::keep_probe_basis(const RoundInput& in, std::size_t k) {
+  basis_valid_ = in.tamper == nullptr && !validator_.enabled() && robust_cfg_.trivial();
+  if (!basis_valid_) return;
+  basis_round_ = in.round;
+  basis_k_ = k;
+  basis_ids_.assign(in.client_ids.begin(), in.client_ids.end());
+  basis_vectors_.assign(in.client_vectors.begin(), in.client_vectors.end());
+  basis_weights_.assign(in.data_weights.begin(), in.data_weights.end());
+}
+
+bool RoundPipeline::derives_probe(const RoundInput& in, std::size_t k_probe) const {
+  const auto same_bits = [](double a, double b) {
+    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+  };
+  const auto same_span = [](std::span<const float> a, std::span<const float> b) {
+    return a.data() == b.data() && a.size() == b.size();
+  };
+  if (!basis_valid_ || k_probe == 0 || k_probe >= basis_k_ || in.tamper != nullptr ||
+      validator_.enabled() || !robust_cfg_.trivial() || in.round != basis_round_ ||
+      !std::equal(in.client_ids.begin(), in.client_ids.end(), basis_ids_.begin(),
+                  basis_ids_.end()) ||
+      !std::equal(in.data_weights.begin(), in.data_weights.end(), basis_weights_.begin(),
+                  basis_weights_.end(), same_bits) ||
+      !std::equal(in.client_vectors.begin(), in.client_vectors.end(), basis_vectors_.begin(),
+                  basis_vectors_.end(), same_span)) {
+    return false;
+  }
+#ifdef FEDSPARSE_CONTRACTS
+  // The caller must not have written the vectors since the round: every
+  // entry of every k′-prefix still reads what the selection saw.
+  for (std::size_t s = 0; s < uploads_.size(); ++s) {
+    const std::size_t depth = std::min(k_probe, uploads_[s].size());
+    for (std::size_t j = 0; j < depth; ++j) {
+      const SparseEntry& e = uploads_[s][j];
+      const float v = in.client_vectors[s][static_cast<std::size_t>(e.index)];
+      FEDSPARSE_CONTRACT(std::memcmp(&v, &e.value, sizeof v) == 0,
+                         "client vector changed between a round and its derived probe");
+    }
+  }
+#endif
+  return true;
+}
+
+std::size_t RoundPipeline::admit_probe_prefix(const std::uint32_t* depth, std::size_t cut,
+                                              std::uint32_t token, util::ThreadPool* pool) {
+  // The emit stage left bucket b's index-sorted J in arenas_[b].touched.
+  const std::size_t B = aggregator_.buckets();
+  probe_counts_.assign(B, 0);
+  for_each_shard(pool, B, [&](std::size_t b) {
+    std::size_t count = 0;
+    for (const std::int32_t j : arenas_[b].touched) {
+      const auto idx = static_cast<std::size_t>(j);
+      if (depth[idx] < cut) {
+        stamp_[idx] = token;
+        agg_[idx] = 0.0f;
+        ++count;
+      }
+    }
+    probe_counts_[b] = count;
+  });
+  std::size_t total = 0;
+  for (const std::size_t c : probe_counts_) total += c;
+  return total;
+}
+
+bool RoundPipeline::admit_probe_index(std::int32_t j, std::uint32_t token) {
+  const auto idx = static_cast<std::size_t>(j);
+  if (stamp_[idx] == token) return false;
+  stamp_[idx] = token;
+  agg_[idx] = 0.0f;
+  ++probe_counts_[bucket_of(j, probe_counts_.size(), dim_)];
+  return true;
+}
+
+void RoundPipeline::emit_probe_update(std::size_t k_probe, std::uint32_t token,
+                                      util::ThreadPool* pool, RoundOutcome& out) {
+  // A client's top-k′ prefix is every entry at least as strong as its
+  // (k′−1)-th; a shorter upload keeps everything (cut 0).
+  probe_cuts_.resize(uploads_.size());
+  for (std::size_t s = 0; s < uploads_.size(); ++s) {
+    const SparseVector& up = uploads_[s];
+    probe_cuts_[s] = up.size() < k_probe
+                         ? 0
+                         : make_key(up[k_probe - 1].value,
+                                    static_cast<std::size_t>(up[k_probe - 1].index));
+  }
+  const std::size_t B = probe_counts_.size();
+  bucket_offsets_.resize(B + 1);
+  bucket_offsets_[0] = 0;
+  for (std::size_t b = 0; b < B; ++b) {
+    bucket_offsets_[b + 1] = bucket_offsets_[b] + probe_counts_[b];
+  }
+  out.update.resize(bucket_offsets_[B]);
+  const BucketAggregator::Filter member{stamp_.data(), token};
+  for_each_shard(pool, B, [&](std::size_t b) {
+    aggregator_.accumulate_prefixes(b, probe_cuts_, member, agg_.data());
+    // J′ ⊆ J, so the round's index-sorted J filtered by membership is the
+    // probe's index-sorted update.
+    std::size_t pos = bucket_offsets_[b];
+    for (const std::int32_t j : arenas_[b].touched) {
+      const auto idx = static_cast<std::size_t>(j);
+      if (stamp_[idx] == token) out.update[pos++] = SparseEntry{j, agg_[idx]};
     }
   });
 }

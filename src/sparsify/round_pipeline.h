@@ -53,6 +53,20 @@ class RoundPipeline {
   /// every thread count.
   const std::vector<SparseVector>& select_uploads(const RoundInput& in, std::size_t k);
 
+  /// The last select_uploads() result (after any tamper and screening).
+  const std::vector<SparseVector>& uploads() const noexcept { return uploads_; }
+
+  /// Runs `run_round` (the method's own round()) with the per-client hint
+  /// store saved and put back afterwards: a probe that runs a whole round
+  /// commits no selection state.
+  template <class RunRound>
+  RoundOutcome keeping_hints(RunRound&& run_round) {
+    saved_hints_ = hints_;
+    RoundOutcome out = run_round();
+    hints_.swap(saved_hints_);
+    return out;
+  }
+
   // --- stage: screen uploads (sparsify/validate.h) --------------------------
 
   void set_validation(const ValidationConfig& cfg) { validator_.configure(cfg); }
@@ -132,6 +146,43 @@ class RoundPipeline {
   /// per-bucket sorts concatenate into the global index order).
   void emit_update_from_buckets(util::ThreadPool* pool, RoundOutcome& out);
 
+  // --- derived k′ probe (FabTopK::probe_round) ------------------------------
+  //
+  // A probe at depth k′ < k over the round just run reuses that round's
+  // state instead of running a second round: uploads are strongest-first,
+  // so client i's top-k′ is the first k′ entries of its top-k upload, the
+  // probe's set J′ is a subset of the round's J, and the scatter buffer
+  // already holds every (client, entry) pair a J′ sum needs.
+
+  /// Marks the round just run over `in` at depth k as a probe basis when its
+  /// uploads reached aggregation as selected: no tamper hook, no screening,
+  /// plain (non-robust) sums. select_uploads() clears the mark.
+  void keep_probe_basis(const RoundInput& in, std::size_t k);
+
+  /// Whether a depth-`k_probe` probe over `in` may be derived from the
+  /// basis: `in` is that round's input (same round, client ids, data
+  /// weights and vector spans, whose contents the caller left unchanged),
+  /// 1 ≤ k_probe < k, and the tamper, screening and robust stages are still
+  /// off.
+  bool derives_probe(const RoundInput& in, std::size_t k_probe) const;
+
+  /// Derived probe, stage 1: admits every member j of the basis round's J
+  /// with depth[j] < cut into J′ — stamp()[j] = token, agg()[j] = 0 — and
+  /// returns how many it admitted. `depth` is indexed by coordinate.
+  std::size_t admit_probe_prefix(const std::uint32_t* depth, std::size_t cut,
+                                 std::uint32_t token, util::ThreadPool* pool);
+
+  /// Derived probe, stage 2: admits one more index of J into J′; false when
+  /// it already was a member.
+  bool admit_probe_index(std::int32_t j, std::uint32_t token);
+
+  /// Derived probe, stage 3: sums every client's top-`k_probe` entries over
+  /// J′ (the indices stamped `token`) and emits the index-sorted update into
+  /// out.update — bitwise what the depth-k_probe round would emit for the
+  /// same J′.
+  void emit_probe_update(std::size_t k_probe, std::uint32_t token, util::ThreadPool* pool,
+                         RoundOutcome& out);
+
   // --- stage: payload accounting (uplink/downlink values) -------------------
 
   /// Fills uplink accounting from the selected uploads and the broadcast
@@ -150,6 +201,7 @@ class RoundPipeline {
   // Selection state: per-thread-slot workspaces + 8-byte per-client hints.
   std::vector<TopKWorkspace> slot_ws_;
   std::vector<ClientHint> hints_;
+  std::vector<ClientHint> saved_hints_;
   std::vector<SparseVector> uploads_;
   UploadValidator validator_;
   RobustConfig robust_cfg_;
@@ -162,6 +214,17 @@ class RoundPipeline {
   KeyMerger merger_;
   BucketAggregator aggregator_;
   CsrResetBuilder resets_;
+
+  // Derived-probe basis: the identity of the last round's input, and the
+  // probe's per-bucket J′ counts and per-client prefix cuts.
+  bool basis_valid_ = false;
+  std::size_t basis_round_ = 0;
+  std::size_t basis_k_ = 0;
+  std::vector<std::size_t> basis_ids_;
+  std::vector<std::span<const float>> basis_vectors_;
+  std::vector<double> basis_weights_;
+  std::vector<std::size_t> probe_counts_;
+  std::vector<std::uint64_t> probe_cuts_;
 };
 
 }  // namespace fedsparse::sparsify

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "sparsify/keys.h"
 #include "util/stats.h"
 #include "util/thread_pool.h"
 
@@ -154,9 +155,6 @@ std::size_t BucketAggregator::scatter(const std::vector<SparseVector>& uploads,
   // bucket map must be monotone in the index so buckets are contiguous
   // disjoint index ranges (the bucket walks then never share an agg entry).
   const std::size_t B = S;
-  const auto bucket_of = [dim, B](std::int32_t idx) {
-    return static_cast<std::size_t>(idx) * B / dim;
-  };
 
   // Phase 1: per-(shard, bucket) entry counts.
   cursors_.assign(S * B + 1, 0);
@@ -164,7 +162,7 @@ std::size_t BucketAggregator::scatter(const std::vector<SparseVector>& uploads,
     std::size_t* counts = cursors_.data() + s * B;
     for (std::size_t i = plan.begin(s); i < plan.end(s); ++i) {
       for (const auto& e : uploads[i]) {
-        if (filter.pass(e.index)) ++counts[bucket_of(e.index)];
+        if (filter.pass(e.index)) ++counts[bucket_of(e.index, B, dim)];
       }
     }
   });
@@ -185,18 +183,40 @@ std::size_t BucketAggregator::scatter(const std::vector<SparseVector>& uploads,
 
   // Phase 3: scatter. Each shard walks its clients in ascending slot order
   // and bumps its own cursors, so inside a bucket the entry order is
-  // (client asc, upload order) — the reference aggregation sequence.
+  // (client asc, upload order) — the reference aggregation sequence. Each
+  // client's segment end per bucket is kept for accumulate_prefixes: shards
+  // of one bucket are adjacent, so client i's segment in bucket b starts
+  // where client i−1's ended.
+  client_ends_.resize(n * B);
   for_each_shard(pool, S, [&](std::size_t s) {
     std::size_t* cursors = cursors_.data() + s * B;
     for (std::size_t i = plan.begin(s); i < plan.end(s); ++i) {
       const float w = static_cast<float>(weights[i]);
       for (const auto& e : uploads[i]) {
         if (!filter.pass(e.index)) continue;
-        entries_[cursors[bucket_of(e.index)]++] = Entry{e.index, w, e.value};
+        entries_[cursors[bucket_of(e.index, B, dim)]++] = Entry{e.index, w, e.value};
       }
+      std::copy(cursors, cursors + B, client_ends_.begin() + static_cast<std::ptrdiff_t>(i * B));
     }
   });
   return B;
+}
+
+void BucketAggregator::accumulate_prefixes(std::size_t b, std::span<const std::uint64_t> cuts,
+                                           const Filter& member, float* agg) const {
+  const std::size_t B = buckets();
+  std::size_t p = bucket_begin(b, B);
+  for (std::size_t i = 0; i < cuts.size(); ++i) {
+    const std::size_t end = client_ends_[i * B + b];
+    const std::uint64_t cut = cuts[i];
+    for (; p < end; ++p) {
+      const Entry& e = entries_[p];
+      if (!member.pass(e.index) || make_key(e.v, static_cast<std::size_t>(e.index)) < cut) {
+        continue;
+      }
+      agg[static_cast<std::size_t>(e.index)] += e.w * e.v;
+    }
+  }
 }
 
 void BucketAggregator::run(const std::vector<SparseVector>& uploads,

@@ -59,6 +59,12 @@ struct ShardPlan {
 
 ShardPlan make_shard_plan(std::size_t n, std::size_t shards);
 
+/// The bucket of index `idx` when [0, dim) splits into `buckets` contiguous
+/// ascending ranges (BucketAggregator's index-axis sharding).
+inline std::size_t bucket_of(std::int32_t idx, std::size_t buckets, std::size_t dim) {
+  return static_cast<std::size_t>(idx) * buckets / dim;
+}
+
 /// Runs fn(s) for every shard in [0, shards) — across the pool (grain 1)
 /// when one is available, serially otherwise. Shard bodies must only write
 /// shard-owned state; the serial fallback is then trivially equivalent.
@@ -147,6 +153,18 @@ class BucketAggregator {
                   const Filter& filter, const RobustConfig& cfg, float* agg,
                   std::uint32_t* touch_stamp, std::uint32_t touch_token, RobustStats& stats);
 
+  /// Derived-probe re-walk of bucket b of the last run(): adds w·v into agg
+  /// for every scattered entry whose index passes `member` and whose key
+  /// (keys.h) is at least its client's cut, cuts[s] for slot s. A client's
+  /// upload is strongest-first, so a cut at the key of its (k′−1)-th entry
+  /// keeps exactly its top-k′ prefix. The walk keeps the scatter's
+  /// client-major order and skips whole entries, so each kept index sums
+  /// the same products in the same order as a run() over the k′-prefixes:
+  /// bitwise-equal when the caller zeroed agg at the kept indices first.
+  /// Buckets own disjoint index ranges, so buckets may run in parallel.
+  void accumulate_prefixes(std::size_t b, std::span<const std::uint64_t> cuts,
+                           const Filter& member, float* agg) const;
+
   std::size_t buckets() const noexcept { return bucket_touched_.size(); }
   std::span<const std::int32_t> touched(std::size_t b) const noexcept {
     return {bucket_touched_[b].data(), bucket_touched_[b].size()};
@@ -176,6 +194,7 @@ class BucketAggregator {
 
   std::vector<Entry> entries_;                         // bucket-major scatter buffer
   std::vector<std::size_t> cursors_;                   // shards × buckets bases
+  std::vector<std::size_t> client_ends_;               // clients × buckets segment ends
   std::size_t scatter_shards_ = 0;                     // S of the last scatter()
   std::vector<std::vector<std::int32_t>> bucket_touched_;
   std::vector<float> abs_scratch_;                     // robust mode: round |v| median

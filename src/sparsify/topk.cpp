@@ -303,7 +303,7 @@ void select(std::span<const float> v, std::span<const float> chunk_max, std::siz
   // Replace the hint when this selection is at least as deep as the one that
   // produced it, or when the stored hint just failed (it drifted stale — low
   // thresholds self-correct here after a cap bail-out). A successful
-  // shallower pass (the k'-probe) keeps the deeper hint intact.
+  // shallower pass keeps the deeper hint intact.
   if (!hint_ok || k >= ws.hint_k) {
     ws.threshold_hint = cand.empty() ? 0.0f : std::fabs(cand.back().value);
     ws.hint_k = k;

@@ -98,16 +98,15 @@ struct TopKWorkspace {
   /// k that produced it. Persisted per client across rounds (a ClientHint in
   /// top_k_uploads, or a workspace the caller keeps), this seeds the next
   /// call's prefilter threshold directly — skipping the sampling pass of the
-  /// dense O(D) scan. The hint is replaced
-  /// by an at-least-as-deep selection (k >= hint_k) or after it failed to
-  /// filter: a *successful* shallower pass — the k'-probe of the
-  /// derivative-sign estimator, which reruns selection right after the real
-  /// round — keeps the deeper hint intact, while a failed hint always
-  /// refreshes so a stale threshold costs at most one fallback pass before
-  /// self-correcting. The selection stays exact either way: a hinted filter
-  /// that keeps fewer than k entries falls back to the sampled prefilter,
-  /// then to the dense path. 0 = no hint yet (first call, or the last pass
-  /// went dense).
+  /// dense O(D) scan. The hint is replaced by an at-least-as-deep selection
+  /// (k >= hint_k) or after it failed to filter: a *successful* shallower
+  /// pass keeps the deeper hint intact, while a failed hint always refreshes
+  /// so a stale threshold costs at most one fallback pass before
+  /// self-correcting. (A k'-probe commits no hint at all: see
+  /// Method::probe_round.) The selection stays exact either way: a hinted
+  /// filter that keeps fewer than k entries falls back to the sampled
+  /// prefilter, then to the dense path. 0 = no hint yet (first call, or the
+  /// last pass went dense).
   float threshold_hint = 0.0f;
   std::size_t hint_k = 0;
 

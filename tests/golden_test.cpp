@@ -12,9 +12,9 @@
 // Matrix: fab/fub/unidirectional/periodic/send_all/fedavg × the uniform,
 // churn_heavy, faulty_wan and byzantine_mix scenarios, synchronized; FAB
 // again at participation 0.4; the top-k methods under buffered async
-// (M = 25); and FAB under Algorithm 3 (extended_sign_ogd), which drives the
-// k' probe path. See tests/golden/README.md for the toolchain assumptions
-// the digests rely on.
+// (M = 25); and FAB under Algorithm 3 (extended_sign_ogd), synchronized and
+// buffered async, which drives the k' probe path. See tests/golden/README.md
+// for the toolchain assumptions the digests rely on.
 //
 // An intentional behaviour change regenerates the files with
 //   FEDSPARSE_GOLDEN_UPDATE=1 ./build/golden_test
@@ -210,7 +210,8 @@ INSTANTIATE_TEST_SUITE_P(
                       GoldenCase{"fab_topk_async", "fab_topk", true},
                       GoldenCase{"fub_topk_async", "fub_topk", true},
                       GoldenCase{"unidirectional_topk_async", "unidirectional_topk", true},
-                      GoldenCase{"fab_topk_adaptive", "fab_topk", false, true}));
+                      GoldenCase{"fab_topk_adaptive", "fab_topk", false, true},
+                      GoldenCase{"fab_topk_adaptive_async", "fab_topk", true, true}));
 
 }  // namespace
 }  // namespace fedsparse::fl

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <stdexcept>
 
@@ -472,6 +473,62 @@ TEST(Models, SameSeedSameInit) {
   auto m2 = mlp(5, {4}, 3)(b);
   for (std::size_t i = 0; i < m1->dim(); ++i) {
     EXPECT_FLOAT_EQ(m1->weights()[i], m2->weights()[i]);
+  }
+}
+
+// Forwards every call to the wrapped layer but keeps Layer's default
+// backward_params, so a model built from these also computes its first
+// layer's input gradient.
+class FullBackward final : public Layer {
+ public:
+  explicit FullBackward(std::unique_ptr<Layer> inner) : inner_(std::move(inner)) {}
+  std::size_t param_count() const noexcept override { return inner_->param_count(); }
+  void bind(std::span<float> w, std::span<float> g) override { inner_->bind(w, g); }
+  void init_params(util::Rng& rng) override { inner_->init_params(rng); }
+  std::size_t out_features(std::size_t in) const override { return inner_->out_features(in); }
+  void set_grad_enabled(bool enabled) override { inner_->set_grad_enabled(enabled); }
+  void forward(const Matrix& x, Matrix& y) override { inner_->forward(x, y); }
+  void backward(const Matrix& dy, Matrix& dx) override { inner_->backward(dy, dx); }
+  std::string name() const override { return inner_->name(); }
+
+ private:
+  std::unique_ptr<Layer> inner_;
+};
+
+// Linear and Conv2d skip the first layer's dx; the parameter gradients must
+// come out bit for bit as with the full backward pass.
+TEST(Sequential, FirstLayerSkipsOnlyTheInputGradient) {
+  const auto build = [](bool conv_first, bool full) {
+    auto model = std::make_unique<Sequential>(64);
+    const auto add = [&](std::unique_ptr<Layer> layer) {
+      model->add(full ? std::make_unique<FullBackward>(std::move(layer)) : std::move(layer));
+    };
+    if (conv_first) {
+      add(std::make_unique<Conv2d>(1, 8, 8, 3, 3, 1, 1));
+      add(std::make_unique<ReLU>());
+      add(std::make_unique<Linear>(3 * 64, 5));
+    } else {
+      add(std::make_unique<Linear>(64, 16));
+      add(std::make_unique<ReLU>());
+      add(std::make_unique<Linear>(16, 5));
+    }
+    util::Rng rng(29);
+    model->finalize(rng);
+    return model;
+  };
+  for (const bool conv_first : {false, true}) {
+    const auto skip = build(conv_first, false);
+    const auto full = build(conv_first, true);
+    util::Rng rng(31);
+    const Matrix x = random_batch(6, 64, rng);
+    const std::vector<int> y = random_labels(6, 5, rng);
+    for (Sequential* m : {skip.get(), full.get()}) {
+      m->zero_grad();
+      m->forward_loss_grad(x, y);
+    }
+    ASSERT_EQ(skip->grad().size(), full->grad().size());
+    EXPECT_EQ(std::memcmp(skip->grad().data(), full->grad().data(), skip->grad().size_bytes()), 0)
+        << (conv_first ? "conv" : "linear") << " first";
   }
 }
 

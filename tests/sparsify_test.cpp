@@ -2,11 +2,13 @@
 // FAB-top-k (fairness invariants + κ search), and every baseline method.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <numeric>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <unordered_set>
 
 #include "sparsify/accumulator.h"
@@ -774,6 +776,227 @@ TEST(FabTopK, FairnessBeatsFubUnderScaleSkew) {
   auto fub = make_method("fub_topk", dim);
   const auto fub_out = fub->round(make_input(vecs, weights), k);
   EXPECT_EQ(fub_out.contributed[1], 0u);  // weak client fully ignored
+}
+
+// ------------------------------------------------------- derived k′ probe --
+
+// Bitwise equality of two updates: same indices, same value bits.
+void expect_same_update(const SparseVector& got, const SparseVector& want,
+                        const std::string& label) {
+  ASSERT_EQ(got.size(), want.size()) << label;
+  for (std::size_t p = 0; p < got.size(); ++p) {
+    ASSERT_EQ(got[p].index, want[p].index) << label << " entry " << p;
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(got[p].value),
+              std::bit_cast<std::uint32_t>(want[p].value))
+        << label << " entry " << p;
+  }
+}
+
+// Max |v| per accumulator chunk, as GradientAccumulator::chunk_max keeps it.
+std::vector<float> chunk_summary(const std::vector<float>& v) {
+  std::vector<float> cm(accumulator_chunks(v.size()), 0.0f);
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    float& c = cm[i / kAccumulatorChunk];
+    c = std::max(c, std::fabs(v[i]));
+  }
+  return cm;
+}
+
+// Two rounds over five clients with stable, non-slot ids. Slot 3 has only
+// a few non-zeros, so its uploads end in zero padding and a probe at most
+// depths keeps fewer than k′ of its non-zeros.
+struct ProbeScene {
+  static constexpr std::size_t kDim = 6000;
+  static constexpr std::size_t kK = 600;
+  std::vector<std::vector<float>> first, second;
+  std::vector<std::size_t> ids{7, 2, 11, 4, 9};
+  std::vector<double> weights{0.3, 0.1, 0.25, 0.15, 0.2};
+  std::vector<std::vector<float>> chunk_max;
+  std::vector<std::vector<std::uint64_t>> prescan_keys;
+
+  ProbeScene() {
+    util::Rng rng(41);
+    for (auto* vecs : {&first, &second}) {
+      for (std::size_t s = 0; s < ids.size(); ++s) {
+        if (s == 3) {
+          std::vector<float> v(kDim, 0.0f);
+          for (std::size_t j = 0; j < 5; ++j) v[rng.uniform_u64(kDim)] = 3.0f;
+          vecs->push_back(std::move(v));
+        } else {
+          vecs->push_back(random_vector(kDim, rng, 1.0 + static_cast<double>(s)));
+        }
+      }
+    }
+    for (const auto& v : second) chunk_max.push_back(chunk_summary(v));
+  }
+
+  RoundInput input(const std::vector<std::vector<float>>& vecs, std::size_t round) const {
+    RoundInput in;
+    in.dim = kDim;
+    in.round = round;
+    in.data_weights = {weights.data(), weights.size()};
+    in.client_ids = {ids.data(), ids.size()};
+    for (const auto& v : vecs) in.client_vectors.push_back({v.data(), v.size()});
+    return in;
+  }
+
+  // The second round's input, with chunk summaries and — when `prescan` —
+  // the fused prescan views a client would emit for `m`'s current hints.
+  RoundInput second_input(const Method& m, bool prescan) {
+    RoundInput in = input(second, 2);
+    for (const auto& cm : chunk_max) in.client_chunk_max.push_back({cm.data(), cm.size()});
+    if (!prescan) return in;
+    prescan_keys.assign(ids.size(), {});
+    for (std::size_t s = 0; s < ids.size(); ++s) {
+      PrescanView view;
+      view.threshold = m.upload_threshold_hint(ids[s], kK);
+      view.k = static_cast<std::uint32_t>(kK);
+      if (view.threshold > 0.0f) {
+        view.complete = threshold_scan_append(
+            {second[s].data(), kDim}, {chunk_max[s].data(), chunk_max[s].size()},
+            view.threshold, topk_hint_cap(kK), prescan_keys[s]);
+      }
+      view.keys = {prescan_keys[s].data(), prescan_keys[s].size()};
+      in.client_prescan.push_back(view);
+    }
+    return in;
+  }
+
+  // Every client's persisted hint, read at the depths a probe touches.
+  std::vector<float> hints(const Method& m, std::size_t k_probe) const {
+    std::vector<float> out;
+    for (const std::size_t id : ids) {
+      out.push_back(m.upload_threshold_hint(id, kK));
+      out.push_back(m.upload_threshold_hint(id, k_probe));
+    }
+    return out;
+  }
+};
+
+// The probe depths the derived path must get right: k′ = 1, ⌊k/N⌋, a k′
+// whose κ′ equals the round's κ (the probe differs from the round only in
+// the fill), a middle depth, and k − 1.
+std::vector<std::size_t> probe_depths(const ProbeScene& scene) {
+  const std::size_t k = ProbeScene::kK;
+  std::vector<SparseVector> uploads;
+  for (const auto& v : scene.second) uploads.push_back(top_k_entries({v.data(), v.size()}, k));
+  const std::size_t kappa = find_kappa(uploads, k);
+  std::set<std::int32_t> prefix;
+  for (const auto& up : uploads) {
+    for (std::size_t j = 0; j < kappa; ++j) prefix.insert(up[j].index);
+  }
+  EXPECT_GE(k - prefix.size(), 2u) << "scene has no fill to split";
+  const std::size_t fill_only = prefix.size() + (k - prefix.size()) / 2;
+  std::vector<SparseVector> cut = uploads;
+  for (auto& up : cut) up.resize(fill_only);
+  EXPECT_EQ(find_kappa(cut, fill_only), kappa);
+  return {1, k / scene.ids.size(), fill_only, k / 3, k - 1};
+}
+
+// round(in, k) then probe_round(in, k′) against round(in, k′) on a second
+// FabTopK with the same history: the same update bits, and the probe leaves
+// every client's hint where the round put it. The probe outcome carries no
+// contributions, which marks the derived path.
+TEST(FabTopKProbe, DerivedProbeMatchesRoundAtKPrime) {
+  ProbeScene scene;
+  const std::size_t k = ProbeScene::kK;
+  const std::vector<std::size_t> depths = probe_depths(scene);
+  util::ThreadPool pool(3);
+  for (const std::size_t shards : {1u, 3u}) {
+    for (const bool prescan : {false, true}) {
+      if (shards > 1) tensor::set_parallel_pool(&pool);
+      for (const std::size_t kp : depths) {
+        const std::string label = "shards " + std::to_string(shards) + " prescan " +
+                                  std::to_string(prescan) + " k' " + std::to_string(kp);
+        FabTopK a(ProbeScene::kDim), b(ProbeScene::kDim);
+        a.set_sharding(shards);
+        b.set_sharding(shards);
+        (void)a.round(scene.input(scene.first, 1), k);
+        (void)b.round(scene.input(scene.first, 1), k);
+        const RoundInput in = scene.second_input(a, prescan);
+        (void)a.round(in, k);
+        (void)b.round(in, k);
+        const std::vector<float> hints = scene.hints(a, kp);
+
+        const RoundOutcome probe = a.probe_round(in, kp);
+        const RoundOutcome want = b.round(in, kp);
+        EXPECT_TRUE(probe.contributed.empty()) << label << ": the probe was not derived";
+        expect_same_update(probe.update, want.update, label);
+        EXPECT_EQ(scene.hints(a, kp), hints) << label;
+        // A second probe from the same round derives again.
+        expect_same_update(a.probe_round(in, kp).update, want.update, label + " (again)");
+      }
+      tensor::set_parallel_pool(nullptr);
+    }
+  }
+}
+
+// Pure in (round, client, payload): doubles client 2's values.
+class DoublingTamper final : public UploadTamper {
+ public:
+  void apply(std::size_t, std::size_t client_id, SparseVector& payload) const override {
+    if (client_id != 2) return;
+    for (auto& e : payload) e.value *= 2.0f;
+  }
+};
+
+// Outside the derived path's basis the probe is round(in, k′) itself — minus
+// the hint updates. Each case runs a probe the basis does not cover: another
+// round number, other client ids, a tamper hook, screening, robust sums.
+TEST(FabTopKProbe, FallsBackToTheRoundOutsideItsBasis) {
+  ProbeScene scene;
+  const std::size_t k = ProbeScene::kK, kp = 200;
+  const DoublingTamper tamper;
+  std::vector<std::size_t> other_ids{7, 2, 11, 4, 10};
+  for (const std::string c : {"round", "ids", "tamper", "screening", "robust"}) {
+    FabTopK a(ProbeScene::kDim), b(ProbeScene::kDim);
+    for (FabTopK* m : {&a, &b}) {
+      if (c == "screening") m->set_validation(ValidationConfig{.enabled = true});
+      if (c == "robust") m->set_robust(RobustConfig{.enabled = true});
+    }
+    RoundInput in = scene.input(scene.second, 2);
+    if (c == "tamper") in.tamper = &tamper;
+    (void)a.round(in, k);
+    (void)b.round(in, k);
+    RoundInput probe_in = in;
+    if (c == "round") probe_in.round = 3;
+    if (c == "ids") probe_in.client_ids = {other_ids.data(), other_ids.size()};
+    const std::vector<float> hints = scene.hints(a, kp);
+
+    const RoundOutcome probe = a.probe_round(probe_in, kp);
+    const RoundOutcome want = b.round(probe_in, kp);
+    EXPECT_FALSE(probe.contributed.empty()) << c << ": the probe was derived";
+    expect_same_update(probe.update, want.update, c);
+    EXPECT_EQ(scene.hints(a, kp), hints) << c;
+  }
+}
+
+// A probe far below k makes the hinted selection bail at its survivor cap
+// (k′ < (k − 64)/8); the round it replaces then rewrites the client's hint
+// for the shallow depth, which disarms the next round's fused prescan. No
+// top-k method's probe may do that, on the derived path or off it.
+TEST(FabTopKProbe, ProbeKeepsSelectionHints) {
+  const std::size_t dim = 60000, n = 3, k = 8000, kp = 900;
+  util::Rng rng(43);
+  std::vector<std::vector<float>> vecs;
+  for (std::size_t i = 0; i < n; ++i) vecs.push_back(random_vector(dim, rng));
+  for (const char* name : {"fab_topk", "fub_topk", "unidirectional_topk"}) {
+    for (const bool screening : {false, true}) {
+      auto m = make_method(name, dim);
+      m->set_validation(ValidationConfig{.enabled = screening});
+      const auto in = make_input(vecs, equal_weights(n));
+      (void)m->round(in, k);
+      (void)m->round(in, k);  // the second round scans with the hint
+      std::vector<float> before;
+      for (std::size_t c = 0; c < n; ++c) before.push_back(m->upload_threshold_hint(c, k));
+      ASSERT_GT(before[0], 0.0f) << name;
+      (void)m->probe_round(in, kp);
+      for (std::size_t c = 0; c < n; ++c) {
+        EXPECT_EQ(m->upload_threshold_hint(c, k), before[c])
+            << name << " screening " << screening << " client " << c;
+      }
+    }
+  }
 }
 
 // ------------------------------------------------------------- baselines ---
