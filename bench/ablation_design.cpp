@@ -1,21 +1,14 @@
-// Ablation bench (extension beyond the paper's figures): isolates the design
-// choices DESIGN.md calls out for FAB-top-k and the adaptive-k loop.
+// Ablation bench (extension beyond the paper's figures): isolates the
+// FAB-top-k design choices the paper argues for (Sections III and IV).
 //
 //   1. fairness        — FAB-top-k vs FUB-top-k at the same k (what does the
 //                        ⌊k/N⌋ guarantee cost/buy?);
 //   2. accumulation    — FAB-top-k with vs without the accumulated local
 //                        gradient a_i (the residual mechanism the paper
-//                        credits for convergence);
-//   3. rounding        — stochastic (Definition 2) vs deterministic rounding
-//                        of the continuous k under Algorithm 3;
-//   4. probe overhead  — charging vs overlapping the k'-probe downlink
-//                        (Fig. 3 step ③), which the paper treats as free;
-//   5. quantization    — FAB-top-k with 4-bit stochastic quantization on the
-//                        payload (the orthogonal compression the paper cites).
+//                        credits for convergence).
 #include <cmath>
 
 #include "common.h"
-#include "sparsify/quantize.h"
 
 using namespace fedsparse;
 
@@ -53,7 +46,7 @@ int main(int argc, char** argv) {
     args.rounds = flags.get_int("fig_rounds", 250, "rounds per arm");
     const double k_frac = flags.get_double("k_frac", 0.0025, "fixed-k arms: k/D");
     flags.check_unknown();
-    bench::banner("ablation_design", "FAB-top-k and adaptive-k design-choice ablations");
+    bench::banner("ablation_design", "FAB-top-k design-choice ablations");
 
     core::TrainerConfig base = bench::base_config(args);
     base.sim.max_rounds = static_cast<std::size_t>(args.rounds);
@@ -93,45 +86,6 @@ int main(int argc, char** argv) {
       const auto res = sim.run();
       bench::emit_curves(args.out_dir, "ablation_design", "fab_no_accumulation", res);
       report("fab_topk (no accumulation)", res);
-    }
-
-    {
-      core::TrainerConfig cfg = base;
-      cfg.controller.name = "fixed";
-      cfg.controller.fixed_k = k;
-      const auto data_cfg = core::resolve_dataset(cfg.dataset);
-      auto factory = core::resolve_model(cfg.model, data_cfg);
-      auto quantized = std::make_unique<sparsify::QuantizedMethod>(
-          std::make_unique<sparsify::FabTopK>(probe.dim()), sparsify::QuantizerConfig{});
-      fl::Simulation sim(cfg.sim, data::make_synthetic(data_cfg), factory, std::move(quantized),
-                         std::make_unique<online::FixedK>(k));
-      const auto res = sim.run();
-      bench::emit_curves(args.out_dir, "ablation_design", "fab_quantized_4bit", res);
-      report("fab_topk + 4-bit quant", res);
-    }
-
-    // --- 3: stochastic vs deterministic rounding under Algorithm 3 ------
-    for (const bool stochastic : {true, false}) {
-      core::TrainerConfig cfg = base;
-      cfg.method = "fab_topk";
-      cfg.controller.name = "extended_sign_ogd";
-      cfg.sim.stochastic_rounding = stochastic;
-      const auto res = core::FederatedTrainer(cfg).run();
-      const char* label = stochastic ? "rounding_stochastic" : "rounding_deterministic";
-      bench::emit_curves(args.out_dir, "ablation_design", label, res);
-      report(label, res);
-    }
-
-    // --- 4: charging the probe's extra downlink -------------------------
-    for (const bool charge : {false, true}) {
-      core::TrainerConfig cfg = base;
-      cfg.method = "fab_topk";
-      cfg.controller.name = "extended_sign_ogd";
-      cfg.sim.charge_probe_overhead = charge;
-      const auto res = core::FederatedTrainer(cfg).run();
-      const char* label = charge ? "probe_charged" : "probe_overlapped";
-      bench::emit_curves(args.out_dir, "ablation_design", label, res);
-      report(label, res);
     }
     return 0;
   } catch (const std::exception& e) {

@@ -28,7 +28,8 @@ struct DatasetSpec {
   /// Shrinks clients/samples for CPU-budget runs; 1.0 = paper scale.
   double scale = 0.15;
   /// Overrides the generator's prototype sparsity when in (0, 1]; real image
-  /// data is effectively sparse (see DESIGN.md §6). 0 keeps the default.
+  /// data is effectively sparse (see data::SyntheticConfig::prototype_sparsity).
+  /// 0 keeps the default.
   double prototype_sparsity = 0.0;
   data::SyntheticConfig custom;
   std::uint64_t seed = 1;
@@ -46,9 +47,9 @@ struct TrainerConfig {
   ModelSpec model;
   /// Sparsification method (see sparsify::make_method).
   std::string method = "fab_topk";
-  /// Named network/device scenario from the fl::make_scenario registry
-  /// ("uniform" | "bimodal" | "longtail_mobile" | "metered_wan"); empty keeps
-  /// whatever `sim.network` already says (the homogeneous default).
+  /// Named network/device scenario, one of fl::scenario_names() (the
+  /// fl::make_scenario registry); empty keeps whatever `sim.network` already
+  /// says (the homogeneous default).
   std::string scenario;
   /// k controller; kmin/kmax of 0 are auto-filled as
   /// kmin = max(2, 0.002·D) and kmax = D (the paper's Fig. 5 setting).

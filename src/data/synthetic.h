@@ -1,8 +1,8 @@
 // Synthetic federated datasets standing in for FEMNIST and CIFAR-10.
 //
-// The real datasets are not available offline; per DESIGN.md §1 we substitute
-// Gaussian-prototype class distributions with per-client ("per-writer") style
-// transforms. What the GS / adaptive-k code paths consume is gradients and
+// The real datasets cannot be downloaded in an offline build, so we
+// substitute Gaussian-prototype class distributions with per-client
+// ("per-writer") style transforms. What the GS / adaptive-k code paths consume is gradients and
 // losses whose heterogeneity across clients drives all the paper's effects —
 // these generators reproduce that heterogeneity with controllable knobs:
 //
@@ -41,7 +41,7 @@ struct SyntheticConfig {
   /// noise). 1.0 = dense prototypes. Real image data is effectively sparse
   /// (background pixels are uninformative), which is what gives top-k
   /// selection its edge over random selection — lower this toward ~0.1 to
-  /// reproduce that regime (see DESIGN.md §6).
+  /// reproduce that regime.
   double prototype_sparsity = 1.0;
   double writer_style_std = 0.08;  // per-client additive style shift
   double writer_gain_std = 0.08;   // per-client multiplicative gain jitter

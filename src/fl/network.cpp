@@ -176,15 +176,6 @@ RoundTiming NetworkModel::round_time(std::span<const std::size_t> ids,
   return out;
 }
 
-double NetworkModel::broadcast_time(std::span<const std::size_t> ids, double values) const {
-  if (!heterogeneous_ || ids.empty()) return nominal_.comm_part(0.0, values);
-  double slowest_down = std::numeric_limits<double>::infinity();
-  for (const std::size_t i : ids) {
-    slowest_down = std::min(slowest_down, realized_[i].downlink_rate);
-  }
-  return nominal_.comm_part(0.0, values) / slowest_down;
-}
-
 double NetworkModel::theta(double k, std::span<const std::size_t> ids) const {
   if (!heterogeneous_ || ids.empty()) return nominal_.theta(k);
   double worst = 0.0;
@@ -194,14 +185,6 @@ double NetworkModel::theta(double k, std::span<const std::size_t> ids) const {
     slowest_down = std::min(slowest_down, realized_[i].downlink_rate);
   }
   return worst + nominal_.comm_part(0.0, 2.0 * k) / slowest_down;
-}
-
-double NetworkModel::max_compute_multiplier(std::span<const std::size_t> ids) const {
-  double worst = 0.0;
-  for (const std::size_t i : ids) {
-    worst = std::max(worst, realized_[i].compute_multiplier);
-  }
-  return worst;
 }
 
 // ---------------------------------------------------------------- scenarios

@@ -142,20 +142,11 @@ class NetworkModel {
                          std::span<const double> uplink_values_per_slot,
                          double legacy_uplink_values, double downlink_values) const;
 
-  /// Time for a broadcast of `values` to reach every participant (the
-  /// slowest participating downlink binds it). Homogeneous: the nominal
-  /// comm_part.
-  double broadcast_time(std::span<const std::size_t> ids, double values) const;
-
   /// θ(k) analogue: hypothetical k-element bidirectional GS round (every
   /// participant uploads 2k values) over the given participants at the
   /// current realized rates. Matches TimingModel::theta exactly when
   /// homogeneous.
   double theta(double k, std::span<const std::size_t> ids) const;
-
-  /// Largest realized compute multiplier among `ids` (scales per-round
-  /// compute-bound resources such as energy_per_compute).
-  double max_compute_multiplier(std::span<const std::size_t> ids) const;
 
  private:
   TimingModel nominal_{};
@@ -173,14 +164,14 @@ class NetworkModel {
 
 // ---------------------------------------------------------------- scenarios
 
-/// A named preset: network shape plus the composite-resource knobs that give
-/// the scenario its objective (e.g. metered WAN charges money per value).
+/// A named preset: network shape plus the money term that gives the
+/// scenario its objective (e.g. metered WAN charges money per value).
 /// Apply to a SimulationConfig with fl::apply_scenario (simulation.h).
 struct Scenario {
   std::string name;
   std::string description;
   NetworkConfig network;
-  /// Composite-objective overrides; 0 keeps the pure-time objective.
+  /// SimulationConfig money-term overrides; 0 keeps the pure-time objective.
   double money_per_value = 0.0;
   double weight_money = 0.0;
   /// Fault injection (fl/faults.h); trivial by default. apply_scenario also

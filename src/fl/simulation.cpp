@@ -53,6 +53,12 @@ void SimulationConfig::validate() const {
   }
 }
 
+double SimulationConfig::round_cost(double time, double uplink_values,
+                                    double downlink_values) const {
+  const double money = money_per_value * (uplink_values + downlink_values);
+  return time + weight_money * money;
+}
+
 Simulation::Simulation(SimulationConfig cfg, data::FederatedDataset dataset,
                        nn::ModelFactory factory, std::unique_ptr<sparsify::Method> method,
                        std::unique_ptr<online::KController> controller)
@@ -82,16 +88,8 @@ Simulation::Simulation(SimulationConfig cfg, data::FederatedDataset dataset,
     clients_.push_back(std::make_unique<Client>(i, std::move(dataset.clients[i]), dim_,
                                                 util::splitmix64(seed_state)));
   }
-  timing_ = TimingModel{cfg.comm_time, cfg.compute_time, dim_};
-  resource_.timing = timing_;
-  resource_.energy_per_compute = cfg.energy_per_compute;
-  resource_.energy_per_value = cfg.energy_per_value;
-  resource_.money_per_value = cfg.money_per_value;
-  resource_.weight_time = cfg.weight_time;
-  resource_.weight_energy = cfg.weight_energy;
-  resource_.weight_money = cfg.weight_money;
-
-  network_ = NetworkModel(timing_, cfg.network, clients_.size(), cfg.seed);
+  network_ = NetworkModel(TimingModel{cfg.comm_time, cfg.compute_time, dim_}, cfg.network,
+                          clients_.size(), cfg.seed);
 
   // Weight layout: the shared store always holds w(m) for synchronized
   // methods; FedAvg-style methods (diverging local weights) give every
@@ -327,8 +325,7 @@ void Simulation::evaluate(RoundRecord& rec) {
 void Simulation::stage_begin(RoundContext& ctx) {
   ctx.k_cont = controller_->current_k();
   ctx.probe_k_cont = controller_->probe_k();
-  ctx.k_int = cfg_.stochastic_rounding ? online::stochastic_round_k(ctx.k_cont, dim_, rng_)
-                                       : online::deterministic_round_k(ctx.k_cont, dim_);
+  ctx.k_int = online::stochastic_round_k(ctx.k_cont, dim_, rng_);
 
   // Advance the network fluctuation state (rate jitter + availability
   // chain) before anything reads it. A trivial network is a no-op.
@@ -597,18 +594,10 @@ void Simulation::stage_compute(RoundContext& ctx) {
 void Simulation::stage_server_round(RoundContext& ctx) {
   const std::vector<std::size_t>& flush = *ctx.flush;
 
-  // Per-round compute-bound resources (e.g. energy per computation) scale
-  // with the slowest flushed client's realized device speed. An empty round
-  // (every client offline) skips the server exchange entirely and falls
-  // through the shared record/eval/stop tail as one idle compute round.
-  ctx.round_resource = resource_;
-  if (network_.heterogeneous() && !flush.empty()) {
-    ctx.round_resource.energy_per_compute =
-        resource_.energy_per_compute * network_.max_compute_multiplier(flush);
-  }
-
   // (1)–(2) Server round: selection + aggregation over the flush set.
-  // An empty round leaves the default outcome: zero payloads, no resets.
+  // An empty round (every client offline) skips the server exchange, leaves
+  // the default outcome — zero payloads, no resets — and falls through the
+  // shared record/eval/stop tail as one idle compute round.
   ctx.dropped = fault_events_.size();  // schedule-stage events are all losses
   if (!flush.empty()) {
     // Corruption draws are counted here (pure per (round, client), so this
@@ -651,9 +640,7 @@ void Simulation::stage_probe(RoundContext& ctx) {
                    ctx.outcome.kind == sparsify::RoundOutcome::Kind::kSparseUpdate &&
                    !ctx.outcome.validation.degraded;
   if (!ctx.want_probe) return;
-  std::size_t probe_k_int = cfg_.stochastic_rounding
-                                ? online::stochastic_round_k(ctx.probe_k_cont, dim_, rng_)
-                                : online::deterministic_round_k(ctx.probe_k_cont, dim_);
+  std::size_t probe_k_int = online::stochastic_round_k(ctx.probe_k_cont, dim_, rng_);
   if (probe_k_int >= ctx.k_int) probe_k_int = ctx.k_int > 1 ? ctx.k_int - 1 : 0;
   if (probe_k_int >= 1) {
     // round_input_ still holds this round's view (want_probe implies a
@@ -758,13 +745,13 @@ void Simulation::stage_account(RoundContext& ctx, SimulationResult& res, double&
         network_.round_time(fresh_ids_, fresh_uplink_, fresh_legacy, outcome.downlink_values);
   }
 
-  // Composite-resource payload totals: round *time* maxes over the parallel
-  // uplinks, but additive resources (energy, money) price the whole fleet —
-  // every flushed upload (buffered ones are charged at the flush that folds
-  // them, exactly once), plus the broadcast every ONLINE client receives
-  // (non-participants still listen so their weights stay synchronized).
-  // Pure-time objectives (the default) are untouched: the payload arguments
-  // only feed the zero-weighted terms.
+  // Round-cost payload totals: round *time* maxes over the parallel
+  // uplinks, but the money term prices the whole fleet — every flushed
+  // upload (buffered ones are charged at the flush that folds them, exactly
+  // once), plus the broadcast every ONLINE client receives (non-participants
+  // still listen so their weights stay synchronized). Pure-time objectives
+  // (the default) are untouched: the payloads only feed the zero-weighted
+  // money term.
   double fleet_uplink = 0.0;
   for (std::size_t s = 0; s < flush.size(); ++s) fleet_uplink += uplink_slots_[s];
   const double n_part = static_cast<double>(flush.size());
@@ -796,15 +783,13 @@ void Simulation::stage_account(RoundContext& ctx, SimulationResult& res, double&
   }
 
   // (B)–(D) One-sample probe losses over the flush set, averaged by the
-  // server (Sec. IV-E). The controller minimizes the composite round cost
-  // (pure time under the paper's defaults).
+  // server (Sec. IV-E). The controller minimizes the round cost (pure time
+  // under the paper's defaults).
   online::RoundFeedback& fb = ctx.fb;
-  fb.round_time = ctx.round_resource.round_cost_given_time(ctx.round_timing.time, fleet_uplink,
-                                                           fleet_downlink);
+  fb.round_time = cfg_.round_cost(ctx.round_timing.time, fleet_uplink, fleet_downlink);
   fb.mean_staleness = ctx.mean_staleness;
   fb.validity = ctx.outcome.validation.valid_fraction;
   fb.trust = ctx.outcome.robust.mean_trust;
-  ctx.wall_time = fb.round_time;
   if (!fedavg_style_ && !flush.empty()) {
     probe_prev_.resize(flush.size());
     probe_cur_.resize(flush.size());
@@ -844,27 +829,17 @@ void Simulation::stage_account(RoundContext& ctx, SimulationResult& res, double&
       fb.loss_probe = util::mean_of(probe_shift_);
       fb.probe_available = true;
       // θ_m(k') from the SAME heterogeneous model that produced τ_m, so
-      // Algorithms 2/3 compare like with like under stragglers; value-based
-      // resource terms price the same fleet totals as τ_m (n uplinks of 2k'
-      // values, the 2k'-value broadcast to n participants).
-      fb.theta_probe = ctx.round_resource.round_cost_given_time(
-          network_.theta(ctx.probe_k_cont, flush), n_part * 2.0 * ctx.probe_k_cont,
-          n_online * 2.0 * ctx.probe_k_cont);
-      if (cfg_.charge_probe_overhead) {
-        // Step ③ of Fig. 3: the k/k' difference entries on the downlink,
-        // carried by the slowest participating link.
-        const double extra = 2.0 * static_cast<double>(ctx.probe_diff.size());
-        const double t_full = network_.heterogeneous()
-                                  ? timing_.compute_time + network_.broadcast_time(flush, extra)
-                                  : timing_.round_time(0.0, extra);
-        ctx.wall_time += ctx.round_resource.round_cost_given_time(t_full, 0.0, n_online * extra) -
-                         ctx.round_resource.round_cost(0.0, 0.0);
-      }
+      // Algorithms 2/3 compare like with like under stragglers; the money
+      // term prices the same fleet totals as τ_m (n uplinks of 2k' values,
+      // the 2k'-value broadcast to every online client).
+      fb.theta_probe = cfg_.round_cost(network_.theta(ctx.probe_k_cont, flush),
+                                       n_part * 2.0 * ctx.probe_k_cont,
+                                       n_online * 2.0 * ctx.probe_k_cont);
       const auto est = online::estimate_derivative_sign(fb, ctx.k_cont, ctx.probe_k_cont);
       if (!est.valid) ++res.invalid_probe_rounds;
     }
   }
-  time += ctx.wall_time;
+  time += fb.round_time;
   // An all-offline round exercised no choice of k: feeding its zero/NaN
   // losses to a controller would punish whatever arm or perturbation it
   // happened to be playing (EXP3, continuous bandit) for churn k cannot
@@ -957,9 +932,7 @@ void Simulation::emit_telemetry(const RoundContext& ctx, const SimulationResult&
                                            {0.0, 1.0, 2.0, 4.0, 8.0, 16.0});
 
   const RoundRecord& rec = res.records.back();
-  const std::size_t online = network_.heterogeneous() && network_.has_churn()
-                                 ? network_.online_ids().size()
-                                 : clients_.size();
+  const std::size_t online = network_.online_ids().size();
   g_k_cont.set(rec.k_continuous);
   g_k_used.set(static_cast<double>(rec.k_used));
   g_online.set(static_cast<double>(online));

@@ -30,7 +30,6 @@
 #include "fl/faults.h"
 #include "fl/metrics.h"
 #include "fl/network.h"
-#include "fl/resource.h"
 #include "fl/timing.h"
 #include "fl/trace.h"
 #include "nn/models.h"
@@ -103,11 +102,6 @@ struct SimulationConfig {
   std::size_t eval_samples_per_client = 64;  // 0 = full local datasets
   std::size_t eval_test_samples = 512;       // 0 = full test set
 
-  bool stochastic_rounding = true;  // Definition 2 (false: nearest integer)
-  /// Charge the k'-probe's extra downlink (the paper overlaps it with the
-  /// next round's computation and does not charge it; kept as an ablation).
-  bool charge_probe_overhead = false;
-
   /// Fig. 1 support: once the global loss reaches `switch_at_loss`, the
   /// controller is replaced by FixedK(switch_to_k).
   double switch_at_loss = 0.0;
@@ -115,13 +109,11 @@ struct SimulationConfig {
 
   // --- extensions beyond the paper's evaluation (defaults disable them) ---
 
-  /// Composite resource objective (paper Sections I/VI: energy, money).
-  /// Defaults reduce to the pure training-time objective.
-  double energy_per_compute = 1.0;
-  double energy_per_value = 0.0;
+  /// Money term of the round cost (paper Sections I/VI: the controller can
+  /// minimise any additive resource, not only time). Each transmitted value
+  /// costs money_per_value, weighted by weight_money; the defaults leave the
+  /// paper's pure training-time objective. See round_cost().
   double money_per_value = 0.0;
-  double weight_time = 1.0;
-  double weight_energy = 0.0;
   double weight_money = 0.0;
 
   /// Heterogeneous network & device model (fl/network.h): per-client
@@ -175,6 +167,12 @@ struct SimulationConfig {
   std::size_t threads = 0;
   std::uint64_t seed = 1;
 
+  /// The cost the controller minimises for one round that took `time` and
+  /// moved the given fleet payload totals: time + weight_money · money.
+  /// Time maxes over parallel links, but money sums over every device, so
+  /// the caller passes fleet totals, not one client's payloads.
+  double round_cost(double time, double uplink_values, double downlink_values) const;
+
   /// Throws std::invalid_argument naming the first out-of-range setting.
   /// Every check is written so that NaN fails it. The Simulation constructor
   /// calls this once, before it builds anything from the config.
@@ -182,8 +180,8 @@ struct SimulationConfig {
 };
 
 /// Installs a named network/device scenario (fl/network.h registry) into a
-/// simulation config: the network shape plus the scenario's composite-cost
-/// knobs (e.g. metered WAN money weights).
+/// simulation config: the network shape plus the scenario's money term
+/// (the metered-WAN scenarios charge per transmitted value).
 void apply_scenario(const Scenario& s, SimulationConfig& cfg);
 
 struct RoundRecord {
@@ -225,7 +223,7 @@ struct SimulationResult {
   std::vector<double> client_downlink_values;
   std::vector<std::size_t> client_rounds_participated;
   std::size_t rounds_run = 0;
-  double total_time = 0.0;   // cumulative composite cost (pure time by default)
+  double total_time = 0.0;   // cumulative round cost (pure time by default)
   double final_loss = std::numeric_limits<double>::quiet_NaN();
   double final_accuracy = std::numeric_limits<double>::quiet_NaN();
   bool reached_target = false;
@@ -258,7 +256,6 @@ class Simulation {
 
   std::size_t dim() const noexcept { return dim_; }
   std::size_t num_clients() const noexcept { return clients_.size(); }
-  const TimingModel& timing() const noexcept { return timing_; }
   const NetworkModel& network() const noexcept { return network_; }
 
   /// The last round's event schedule (transitions, upload arrivals, flush) —
@@ -309,10 +306,8 @@ class Simulation {
     sparsify::RoundOutcome outcome;
     bool want_probe = false;
     sparsify::SparseVector probe_diff;
-    ResourceModel round_resource;
     RoundTiming round_timing;
     online::RoundFeedback fb;
-    double wall_time = 0.0;
     std::size_t dropped = 0;    // uploads lost to faults this round
     std::size_t corrupted = 0;  // corruption draws that fired on the flush
     std::size_t byzantine = 0;  // flushed uploads from the adversarial cohort
@@ -370,9 +365,7 @@ class Simulation {
   std::vector<std::unique_ptr<Client>> clients_;
   std::vector<double> data_weights_;
   data::Dataset test_set_;
-  TimingModel timing_;
   NetworkModel network_;
-  ResourceModel resource_;
   Evaluator evaluator_;
   util::ThreadPool pool_;
   util::Rng rng_;

@@ -14,9 +14,4 @@ std::size_t stochastic_round_k(double k, std::size_t dim, util::Rng& rng) {
   return static_cast<std::size_t>(chosen);
 }
 
-std::size_t deterministic_round_k(double k, std::size_t dim) {
-  const double rounded = std::clamp(std::round(k), 1.0, static_cast<double>(dim));
-  return static_cast<std::size_t>(rounded);
-}
-
 }  // namespace fedsparse::online

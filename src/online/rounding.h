@@ -12,7 +12,4 @@ namespace fedsparse::online {
 /// One stochastic-rounding draw, clamped to [1, dim].
 std::size_t stochastic_round_k(double k, std::size_t dim, util::Rng& rng);
 
-/// Deterministic variant (nearest integer) used by the rounding ablation.
-std::size_t deterministic_round_k(double k, std::size_t dim);
-
 }  // namespace fedsparse::online

@@ -99,51 +99,37 @@ TEST(TimingModel, ThetaIsMonotoneInK) {
   EXPECT_THROW((TimingModel{1.0, 1.0, 0}).round_time(1, 1), std::invalid_argument);
 }
 
-// ----------------------------------------------------------- resource ------
+// -------------------------------------------------------- round cost -------
 
 TEST(ResourceModel, DefaultsReduceToPureTime) {
-  ResourceModel r;
-  r.timing = TimingModel{10.0, 1.0, 1000};
-  EXPECT_TRUE(r.is_pure_time());
-  EXPECT_DOUBLE_EQ(r.round_cost(100.0, 100.0), r.timing.round_time(100.0, 100.0));
-  EXPECT_DOUBLE_EQ(r.theta_cost(50.0), r.timing.theta(50.0));
-  r.weight_energy = 0.5;
-  EXPECT_FALSE(r.is_pure_time());
-  r.weight_energy = 0.0;
-  r.weight_time = 0.9;
-  EXPECT_FALSE(r.is_pure_time());
+  const SimulationConfig cfg;
+  const TimingModel t{10.0, 1.0, 1000};
+  EXPECT_EQ(cfg.round_cost(t.round_time(100.0, 100.0), 100.0, 100.0),
+            t.round_time(100.0, 100.0));
+  EXPECT_EQ(cfg.round_cost(t.theta(50.0), 100.0, 100.0), t.theta(50.0));
 }
 
 TEST(ResourceModel, CompositeCostSumsWeightedResources) {
-  ResourceModel r;
-  r.timing = TimingModel{10.0, 1.0, 1000};
-  r.energy_per_compute = 2.0;
-  r.energy_per_value = 0.01;
-  r.money_per_value = 0.05;
-  r.weight_time = 1.0;
-  r.weight_energy = 3.0;
-  r.weight_money = 7.0;
+  SimulationConfig cfg;
+  cfg.money_per_value = 0.05;
+  cfg.weight_money = 7.0;
+  const TimingModel t{10.0, 1.0, 1000};
   const double up = 40.0, down = 60.0;
-  const double time = r.timing.round_time(up, down);
-  const double energy = 2.0 + 0.01 * (up + down);
-  const double money = 0.05 * (up + down);
-  EXPECT_DOUBLE_EQ(r.round_cost(up, down), time + 3.0 * energy + 7.0 * money);
-  // Precomputed-time variant (the heterogeneous network path) must agree
-  // when handed the same homogeneous time.
-  EXPECT_EQ(r.round_cost_given_time(time, up, down), r.round_cost(up, down));
+  const double time = t.round_time(up, down);
+  EXPECT_DOUBLE_EQ(cfg.round_cost(time, up, down), time + 7.0 * 0.05 * (up + down));
 }
 
 TEST(ResourceModel, ThetaCostIsMonotoneInK) {
-  ResourceModel r;
-  r.timing = TimingModel{5.0, 1.0, 2000};
-  r.energy_per_value = 0.02;
-  r.money_per_value = 0.01;
-  r.weight_energy = 1.0;
-  r.weight_money = 2.0;
-  double prev = r.theta_cost(1.0);
+  // θ-cost of a k-element round (2k values each way). With β = 0 the time
+  // is flat in k, so only the money term can make it grow.
+  SimulationConfig cfg;
+  cfg.money_per_value = 0.01;
+  cfg.weight_money = 2.0;
+  const TimingModel free_links{0.0, 1.0, 2000};
+  double prev = cfg.round_cost(free_links.theta(1.0), 2.0, 2.0);
   for (double k = 10.0; k <= 1000.0; k *= 2.0) {
-    const double cur = r.theta_cost(k);
-    EXPECT_GT(cur, prev) << "theta_cost not increasing at k=" << k;
+    const double cur = cfg.round_cost(free_links.theta(k), 2.0 * k, 2.0 * k);
+    EXPECT_GT(cur, prev) << "theta cost not increasing at k=" << k;
     prev = cur;
   }
 }

@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <limits>
 #include <memory>
 #include <ostream>
 
@@ -15,7 +14,6 @@
 #include "online/extended_sign_ogd.h"
 #include "sparsify/fab_topk.h"
 #include "sparsify/method.h"
-#include "sparsify/quantize.h"
 #include "sparsify/topk.h"
 
 namespace fedsparse {
@@ -128,44 +126,6 @@ TEST(ReplayExhaustion, SimulationOutlivesSequenceGracefully) {
   EXPECT_DOUBLE_EQ(res.k_sequence[9], 16.0);
 }
 
-TEST(ExtremeQuantization, OneLevelStillRuns) {
-  // levels = 1 is sign-SGD-like: every transmitted value becomes ±scale or 0.
-  sparsify::StochasticQuantizer q({1, 9});
-  sparsify::SparseVector sv{{0, 0.9f}, {1, -0.2f}, {2, 1.0f}};
-  q.quantize(sv);
-  for (const auto& e : sv) {
-    const float a = std::fabs(e.value);
-    EXPECT_TRUE(a == 0.0f || a == 1.0f) << a;
-  }
-}
-
-TEST(ExtremeQuantization, NonFiniteEntriesAreZeroedNotPropagated) {
-  // Regression: a NaN entry never raises the shared max, so it used to ride
-  // through rescaling untouched; an Inf entry drove the scale to Inf,
-  // collapsing every finite value to 0 and turning Inf/Inf into NaN. The
-  // guard zeroes non-finite entries instead; the finite ones still quantize
-  // against a scale computed from finite entries only.
-  sparsify::StochasticQuantizer q({8, 11});
-  sparsify::SparseVector sv{{0, 1.0f},
-                            {1, std::numeric_limits<float>::quiet_NaN()},
-                            {2, -std::numeric_limits<float>::infinity()},
-                            {3, -0.5f}};
-  const float scale = q.quantize(sv);
-  EXPECT_EQ(scale, 1.0f);
-  for (const auto& e : sv) EXPECT_TRUE(std::isfinite(e.value)) << "index " << e.index;
-  EXPECT_EQ(sv[1].value, 0.0f);
-  EXPECT_EQ(sv[2].value, 0.0f);
-  EXPECT_EQ(std::fabs(sv[0].value), 1.0f);  // the finite max keeps its scale
-
-  // An all-non-finite payload has no usable magnitude at all: zero scale,
-  // zeroed payload.
-  sparsify::SparseVector bad{{0, std::numeric_limits<float>::infinity()},
-                             {1, std::numeric_limits<float>::quiet_NaN()}};
-  EXPECT_EQ(q.quantize(bad), 0.0f);
-  EXPECT_EQ(bad[0].value, 0.0f);
-  EXPECT_EQ(bad[1].value, 0.0f);
-}
-
 TEST(TimingEdge, ZeroCommunicationTimeIsPureCompute) {
   fl::TimingModel t{0.0, 1.0, 100};
   EXPECT_DOUBLE_EQ(t.round_time(1000, 1000), 1.0);
@@ -205,26 +165,6 @@ TEST(DataEdge, ManyMoreClientsThanClasses) {
       EXPECT_EQ(y, static_cast<int>(c % 3));
     }
   }
-}
-
-TEST(QuantizedFedAvg, WrapperPassesThroughWeightAverage) {
-  // Quantization only touches sparse updates; FedAvg's dense weight average
-  // must pass through untouched.
-  const std::size_t dim = 8;
-  auto quantized = sparsify::QuantizedMethod(
-      sparsify::make_method("fedavg", dim), sparsify::QuantizerConfig{});
-  EXPECT_TRUE(quantized.local_update_style());
-  std::vector<std::vector<float>> w(2, std::vector<float>(dim, 2.0f));
-  std::vector<double> dw(2, 0.5);
-  sparsify::RoundInput in;
-  in.dim = dim;
-  in.round = 2;  // aggregation round for period 2
-  in.data_weights = {dw.data(), dw.size()};
-  for (const auto& v : w) in.client_vectors.push_back({v.data(), v.size()});
-  const auto out = quantized.round(in, 2);
-  ASSERT_EQ(out.kind, sparsify::RoundOutcome::Kind::kWeightAverage);
-  EXPECT_FLOAT_EQ(out.dense[0], 2.0f);
-  EXPECT_EQ(out.uplink_values, static_cast<double>(dim));  // accounting unchanged
 }
 
 }  // namespace
