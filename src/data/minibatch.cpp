@@ -5,23 +5,33 @@
 
 namespace fedsparse::data {
 
-Minibatch sample_minibatch(const Dataset& ds, std::size_t batch, util::Rng& rng) {
+namespace {
+// Fills out.x / out.y from the rows named by out.indices.
+void copy_rows(const Dataset& ds, Minibatch& out) {
+  out.x.reshape(out.indices.size(), ds.x.cols());  // rows fully memcpy'd below
+  out.y.resize(out.indices.size());
+  for (std::size_t i = 0; i < out.indices.size(); ++i) {
+    std::memcpy(out.x.row(i), ds.x.row(out.indices[i]), ds.x.cols() * sizeof(float));
+    out.y[i] = ds.y[out.indices[i]];
+  }
+}
+}  // namespace
+
+void sample_minibatch(const Dataset& ds, std::size_t batch, util::Rng& rng, Minibatch& out) {
   if (ds.empty()) throw std::invalid_argument("sample_minibatch: empty dataset");
-  Minibatch mb;
   if (ds.size() <= batch) {
-    mb.indices.resize(ds.size());
-    for (std::size_t i = 0; i < ds.size(); ++i) mb.indices[i] = i;
+    out.indices.resize(ds.size());
+    for (std::size_t i = 0; i < ds.size(); ++i) out.indices[i] = i;
   } else {
-    mb.indices.resize(batch);
-    for (auto& idx : mb.indices) idx = rng.uniform_u64(ds.size());
+    out.indices.resize(batch);
+    for (auto& idx : out.indices) idx = rng.uniform_u64(ds.size());
   }
-  mb.x.reshape(mb.indices.size(), ds.x.cols());  // rows fully memcpy'd below
-  mb.y.resize(mb.indices.size());
-  for (std::size_t i = 0; i < mb.indices.size(); ++i) {
-    std::memcpy(mb.x.row(i), ds.x.row(mb.indices[i]), ds.x.cols() * sizeof(float));
-    mb.y[i] = ds.y[mb.indices[i]];
-  }
-  return mb;
+  copy_rows(ds, out);
+}
+
+void gather(const Dataset& ds, std::span<const std::size_t> indices, Minibatch& out) {
+  out.indices.assign(indices.begin(), indices.end());
+  copy_rows(ds, out);
 }
 
 }  // namespace fedsparse::data

@@ -36,10 +36,21 @@ void Client::set_weights(std::span<const float> w) {
   std::copy(w.begin(), w.end(), weights_.begin());
 }
 
+namespace {
+// The executing thread's minibatch scratch: a client runs on one thread at a
+// time, and per-thread (not per-client) storage keeps a large fleet from
+// holding one batch copy per client.
+data::Minibatch& minibatch_scratch() {
+  thread_local data::Minibatch mb;
+  return mb;
+}
+}  // namespace
+
 double Client::compute_round_gradient(nn::Sequential& model, std::size_t round,
                                       std::size_t batch) {
   util::Rng round_rng = rng_.split(0x1000 + round);
-  const auto mb = data::sample_minibatch(dataset_, batch, round_rng);
+  data::Minibatch& mb = minibatch_scratch();
+  data::sample_minibatch(dataset_, batch, round_rng, mb);
 
   // Probe sample h: one random member of this minibatch (Section IV-E).
   const std::size_t h = round_rng.uniform_u64(mb.indices.size());
@@ -83,7 +94,8 @@ sparsify::PrescanView Client::prescan_view(std::size_t round) const {
 double Client::local_update(nn::Sequential& model, std::size_t round, std::size_t batch,
                             float lr) {
   util::Rng round_rng = rng_.split(0x1000 + round);
-  const auto mb = data::sample_minibatch(dataset_, batch, round_rng);
+  data::Minibatch& mb = minibatch_scratch();
+  data::sample_minibatch(dataset_, batch, round_rng, mb);
   model.zero_grad();
   const double loss = model.forward_loss_grad(mb.x, mb.y);
   model.sgd_step(lr);
@@ -92,16 +104,6 @@ double Client::local_update(nn::Sequential& model, std::size_t round, std::size_
 
 double Client::probe_loss_now(nn::Sequential& model) {
   return model.forward_loss(probe_x_, probe_y_);
-}
-
-double Client::full_local_loss(nn::Sequential& model, std::size_t max_samples, util::Rng& rng) {
-  if (max_samples == 0 || dataset_.size() <= max_samples) {
-    return model.forward_loss(dataset_.x, dataset_.y);
-  }
-  std::vector<std::size_t> idx(max_samples);
-  for (auto& v : idx) v = rng.uniform_u64(dataset_.size());
-  const data::Dataset sub = dataset_.subset(idx);
-  return model.forward_loss(sub.x, sub.y);
 }
 
 }  // namespace fedsparse::fl

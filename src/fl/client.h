@@ -93,10 +93,6 @@ class Client {
   /// f_{i,h} at the weights the workspace is currently bound to.
   double probe_loss_now(nn::Sequential& model);
 
-  /// Local loss over (a subsample of) the client's full dataset at the bound
-  /// weights; `max_samples == 0` means all samples.
-  double full_local_loss(nn::Sequential& model, std::size_t max_samples, util::Rng& rng);
-
   // --- realized traffic & participation (network-model bookkeeping) --------
 
   /// Records one server round this client participated in: its own uplink

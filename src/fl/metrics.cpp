@@ -4,32 +4,6 @@
 
 namespace fedsparse::fl {
 
-Evaluator::Evaluator(const nn::ModelFactory& factory, std::uint64_t seed) {
-  util::Rng rng(seed);
-  model_ = factory(rng);
-}
-
-const data::Dataset* Evaluator::subsampled(const data::Dataset& ds, std::size_t max_samples,
-                                           util::Rng& rng, data::Dataset& storage) const {
-  if (max_samples == 0 || ds.size() <= max_samples) return &ds;
-  std::vector<std::size_t> idx(max_samples);
-  for (auto& v : idx) v = rng.uniform_u64(ds.size());
-  storage = ds.subset(idx);
-  return &storage;
-}
-
-double Evaluator::loss(const data::Dataset& ds, std::size_t max_samples, util::Rng& rng) {
-  data::Dataset storage;
-  const data::Dataset* use = subsampled(ds, max_samples, rng, storage);
-  return model_->forward_loss(use->x, use->y);
-}
-
-double Evaluator::accuracy(const data::Dataset& ds, std::size_t max_samples, util::Rng& rng) {
-  data::Dataset storage;
-  const data::Dataset* use = subsampled(ds, max_samples, rng, storage);
-  return model_->accuracy(use->x, use->y);
-}
-
 std::vector<ClientTrafficRow> client_traffic_rows(
     const std::vector<double>& uplink_values, const std::vector<double>& downlink_values,
     const std::vector<std::size_t>& rounds_participated) {

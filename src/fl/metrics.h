@@ -1,37 +1,11 @@
-// Evaluation helpers: global (weighted) training loss, test accuracy, and
-// the per-client contribution CDF of Fig. 4 (right).
+// Metric helpers: the per-client contribution CDF of Fig. 4 (right) and the
+// realized per-client traffic table.
 #pragma once
 
-#include <memory>
+#include <cstddef>
 #include <vector>
 
-#include "data/dataset.h"
-#include "nn/models.h"
-#include "util/rng.h"
-
 namespace fedsparse::fl {
-
-/// Owns one model replica used purely for evaluation, so evaluation never
-/// perturbs client state (activations, probe caches).
-class Evaluator {
- public:
-  Evaluator(const nn::ModelFactory& factory, std::uint64_t seed);
-
-  std::size_t dim() const noexcept { return model_->dim(); }
-  void set_weights(std::span<const float> w) { model_->set_weights(w); }
-
-  /// Mean loss on (a uniform subsample of) `ds`; max_samples == 0 => all.
-  double loss(const data::Dataset& ds, std::size_t max_samples, util::Rng& rng);
-
-  /// Classification accuracy on (a subsample of) `ds`.
-  double accuracy(const data::Dataset& ds, std::size_t max_samples, util::Rng& rng);
-
- private:
-  const data::Dataset* subsampled(const data::Dataset& ds, std::size_t max_samples,
-                                  util::Rng& rng, data::Dataset& storage) const;
-
-  std::unique_ptr<nn::Sequential> model_;
-};
 
 /// Per-client average contributed elements per round, the statistic whose CDF
 /// the paper plots in Fig. 4 (right).

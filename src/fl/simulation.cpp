@@ -67,7 +67,6 @@ Simulation::Simulation(SimulationConfig cfg, data::FederatedDataset dataset,
       method_(std::move(method)),
       controller_(std::move(controller)),
       test_set_(std::move(dataset.test)),
-      evaluator_(factory_, cfg.seed ^ 0xE7A1ULL),
       pool_(cfg.threads),
       rng_(cfg.seed) {
   cfg_.validate();
@@ -106,7 +105,6 @@ Simulation::Simulation(SimulationConfig cfg, data::FederatedDataset dataset,
   if (fedavg_style_) {
     for (auto& c : clients_) c->allocate_weights(master->weights());
   }
-  evaluator_.set_weights(master->weights());
 
   // Per-thread model workspaces: pool workers plus the calling thread. Each
   // keeps only gradients + activations once its weight chain is rebound.
@@ -119,6 +117,7 @@ Simulation::Simulation(SimulationConfig cfg, data::FederatedDataset dataset,
     }
     workspaces_.back()->bind_weights({shared_weights_.data(), shared_weights_.size()});
   }
+  eval_batches_.resize(pool_.slot_count());
 
   // Let large GEMMs inside workspace forward/backward split their M loop
   // across this pool. Nested parallel_for calls are safe: the caller always
@@ -283,7 +282,7 @@ void Simulation::apply_reset(const sparsify::RoundOutcome& outcome, std::size_t 
   }
 }
 
-std::span<const float> Simulation::global_weights() {
+std::span<float> Simulation::global_weights() {
   if (!fedavg_style_) return {shared_weights_.data(), shared_weights_.size()};
   // FedAvg between synchronizations: the virtual global model is the
   // data-weighted average of the local weights, computed over disjoint index
@@ -304,14 +303,56 @@ std::span<const float> Simulation::global_weights() {
 }
 
 void Simulation::evaluate(RoundRecord& rec) {
-  evaluator_.set_weights(global_weights());
-  double loss = 0.0;
-  for (std::size_t i = 0; i < clients_.size(); ++i) {
-    loss += data_weights_[i] *
-            evaluator_.loss(clients_[i]->dataset(), cfg_.eval_samples_per_client, rng_);
+  const std::span<float> w = global_weights();
+  const std::size_t n = clients_.size();
+  // Draw every subsample up front, serially and in client order, so rng_
+  // advances exactly as a serial walk would.
+  const auto draw = [&](std::size_t size, std::size_t cap) {
+    if (cap == 0 || size <= cap) return;  // the whole dataset, no draws
+    for (std::size_t s = 0; s < cap; ++s) eval_idx_.push_back(rng_.uniform_u64(size));
+  };
+  eval_idx_.clear();
+  eval_begin_.resize(n + 1);
+  for (std::size_t i = 0; i < n; ++i) {
+    eval_begin_[i] = eval_idx_.size();
+    draw(clients_[i]->num_samples(), cfg_.eval_samples_per_client);
   }
+  eval_begin_[n] = eval_idx_.size();
+  draw(test_set_.size(), cfg_.eval_test_samples);
+
+  // Loss or accuracy on this thread's workspace over the rows [begin, end)
+  // of eval_idx_, a subsample of `ds`; an empty range means all of `ds`.
+  const auto evaluate_on = [&](const data::Dataset& ds, std::size_t begin, std::size_t end,
+                               bool accuracy) {
+    const std::size_t slot = pool_.current_slot();
+    nn::Sequential& ws = *workspaces_[slot];
+    ws.bind_weights(w);
+    const tensor::Matrix* x = &ds.x;
+    std::span<const int> y = ds.y;
+    if (begin != end) {
+      data::Minibatch& mb = eval_batches_[slot];
+      data::gather(ds, {eval_idx_.data() + begin, end - begin}, mb);
+      x = &mb.x;
+      y = mb.y;
+    }
+    return accuracy ? ws.accuracy(*x, y) : ws.forward_loss(*x, y);
+  };
+  eval_loss_.resize(n);
+  pool_.parallel_for(
+      n,
+      [&](std::size_t i) {
+        eval_loss_[i] = evaluate_on(clients_[i]->dataset(), eval_begin_[i], eval_begin_[i + 1],
+                                    /*accuracy=*/false);
+      },
+      /*grain=*/std::max<std::size_t>(1, n / (8 * pool_.slot_count())));
+  // One rounding per client: the serial loop this replaces compiled to a
+  // fused multiply-add under -march=native, while a loop over stored losses
+  // gets vectorized into separate multiplies and adds. std::fma keeps the
+  // fused bits, on targets without FMA hardware as well.
+  double loss = 0.0;
+  for (std::size_t i = 0; i < n; ++i) loss = std::fma(data_weights_[i], eval_loss_[i], loss);
   rec.global_loss = loss;
-  rec.accuracy = evaluator_.accuracy(test_set_, cfg_.eval_test_samples, rng_);
+  rec.accuracy = evaluate_on(test_set_, eval_begin_[n], eval_idx_.size(), /*accuracy=*/true);
 }
 
 // ---------------------------------------------------------------------------

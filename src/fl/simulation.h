@@ -10,12 +10,12 @@
 // global weights w(m), so the engine stores ONE shared weight vector — the
 // model itself — plus a pool of per-thread model workspaces (activations +
 // gradient scratch; see nn::Sequential::bind_weights) that round tasks
-// borrow by thread slot. The broadcast update is applied once in O(k), the
-// k'-probe shifts and restores the store once, and resident memory is
-// O(D + n·D_accum) — no per-client model replicas. Only FedAvg-style
-// methods, whose local weights genuinely diverge between aggregations, give
-// each client its own weight vector, consumed through the same workspace
-// API.
+// borrow by thread slot, for local steps and evaluation alike. The broadcast
+// update is applied once in O(k), the k'-probe shifts and restores the store
+// once, and resident memory is O(D + n·D_accum) — no per-client model
+// replicas. Only FedAvg-style methods, whose local weights genuinely diverge
+// between aggregations, give each client its own weight vector, consumed
+// through the same workspace API.
 #pragma once
 
 #include <limits>
@@ -246,7 +246,7 @@ class Simulation {
  public:
   /// Takes ownership of the dataset, method and controller. The model
   /// factory is invoked once per *workspace* (pool threads + caller) plus
-  /// once for the master weights and once for evaluation — never per client.
+  /// once for the master weights — never per client.
   Simulation(SimulationConfig cfg, data::FederatedDataset dataset, nn::ModelFactory factory,
              std::unique_ptr<sparsify::Method> method,
              std::unique_ptr<online::KController> controller);
@@ -287,6 +287,10 @@ class Simulation {
   std::span<const float> client_weights(std::size_t i) const;
 
  private:
+  // Tests reach evaluate(), global_weights(), rng_ and sample_participants()
+  // through this peer, to hold the pooled evaluation to a serial oracle.
+  friend struct SimulationTestPeer;
+
   /// Everything one round's stages hand to the next. The lockstep monolith
   /// became this staged pipeline: begin → schedule → compute → server round →
   /// probe → apply → account → record, each stage a method below. `flush`
@@ -337,8 +341,12 @@ class Simulation {
   /// streams the Chrome-trace / JSONL files when paths were configured.
   void emit_telemetry(const RoundContext& ctx, const SimulationResult& res, double time);
 
+  /// Global loss (data-weighted client losses) and test accuracy at the
+  /// global weights. Subsample draws stay serial on rng_, in client order;
+  /// the client losses run on the pool's workspaces and sum in client order,
+  /// so the result is bitwise-independent of the thread count.
   void evaluate(RoundRecord& rec);
-  std::span<const float> global_weights();
+  std::span<float> global_weights();
   /// The executing thread's model workspace, rebound to the weights client
   /// `i` should compute against (shared store, or the client's own vector).
   nn::Sequential& bound_workspace(std::size_t i);
@@ -366,7 +374,6 @@ class Simulation {
   std::vector<double> data_weights_;
   data::Dataset test_set_;
   NetworkModel network_;
-  Evaluator evaluator_;
   util::ThreadPool pool_;
   util::Rng rng_;
   std::size_t dim_ = 0;
@@ -380,6 +387,10 @@ class Simulation {
 
   // Round scratch, reused across rounds (no steady-state allocation).
   std::vector<float> fedavg_weights_;    // FedAvg weighted-average output
+  std::vector<std::size_t> eval_idx_;    // evaluation subsample rows, all clients
+  std::vector<std::size_t> eval_begin_;  // client i's rows: [eval_begin_[i], eval_begin_[i+1])
+  std::vector<double> eval_loss_;        // per-client evaluation loss
+  std::vector<data::Minibatch> eval_batches_;  // per-slot gathered subsample
   std::vector<std::size_t> part_ids_;    // sampled participant ids
   std::vector<std::size_t> id_scratch_;  // availability filter + Fisher–Yates buffer
   std::vector<std::size_t> compute_ids_; // participants ∪ offline local trainers

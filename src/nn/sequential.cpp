@@ -31,7 +31,7 @@ void Sequential::finalize(util::Rng& rng) {
     layer->init_params(rng);
     offset += n;
   }
-  activations_.resize(layers_.size() + 1);
+  activations_.resize(layers_.size());
   finalized_ = true;
 }
 
@@ -61,43 +61,39 @@ void Sequential::set_weights(std::span<const float> w) {
 
 void Sequential::zero_grad() noexcept { tensor::zero({grads_.data(), grads_.size()}); }
 
-Matrix Sequential::run_forward(const Matrix& x, bool for_grad) {
+const Matrix& Sequential::run_forward(const Matrix& x, bool for_grad) {
   if (!finalized_) throw std::logic_error("Sequential: forward before finalize");
   if (x.cols() != in_features_) {
     throw std::invalid_argument("Sequential: input has " + std::to_string(x.cols()) +
                                 " features, model expects " + std::to_string(in_features_));
   }
-  activations_[0] = x;
+  const Matrix* in = &x;
   for (std::size_t i = 0; i < layers_.size(); ++i) {
     layers_[i]->set_grad_enabled(for_grad);
-    layers_[i]->forward(activations_[i], activations_[i + 1]);
+    layers_[i]->forward(*in, activations_[i]);
+    in = &activations_[i];
   }
-  return activations_.back();
+  return *in;
 }
 
 double Sequential::forward_loss_grad(const Matrix& x, std::span<const int> labels) {
-  const Matrix logits = run_forward(x, /*for_grad=*/true);
-  Matrix grad_flow;
-  const double loss = SoftmaxCrossEntropy::loss_and_grad(logits, labels, grad_flow);
-  Matrix next;
+  const Matrix& logits = run_forward(x, /*for_grad=*/true);
+  const double loss = SoftmaxCrossEntropy::loss_and_grad(logits, labels, grad_flow_);
   for (std::size_t i = layers_.size(); i-- > 1;) {
-    layers_[i]->backward(grad_flow, next);
-    std::swap(grad_flow, next);
+    layers_[i]->backward(grad_flow_, next_);
+    std::swap(grad_flow_, next_);
   }
   // Nothing reads the model input's gradient.
-  layers_[0]->backward_params(grad_flow, next);
+  layers_[0]->backward_params(grad_flow_, next_);
   return loss;
 }
 
 double Sequential::forward_loss(const Matrix& x, std::span<const int> labels) {
-  const Matrix logits = run_forward(x, /*for_grad=*/false);
-  return SoftmaxCrossEntropy::loss_only(logits, labels);
+  return SoftmaxCrossEntropy::loss_only(run_forward(x, /*for_grad=*/false), labels);
 }
 
-Matrix Sequential::predict(const Matrix& x) { return run_forward(x, /*for_grad=*/false); }
-
 double Sequential::accuracy(const Matrix& x, std::span<const int> labels) {
-  const Matrix logits = run_forward(x, /*for_grad=*/false);
+  const Matrix& logits = run_forward(x, /*for_grad=*/false);
   std::size_t correct = 0;
   for (std::size_t r = 0; r < logits.rows(); ++r) {
     const float* row = logits.row(r);

@@ -71,9 +71,6 @@ class Sequential {
   /// per model instance.
   double forward_loss(const Matrix& x, std::span<const int> labels);
 
-  /// Raw logits for a batch.
-  Matrix predict(const Matrix& x);
-
   /// Fraction of rows whose argmax logit equals the label.
   double accuracy(const Matrix& x, std::span<const int> labels);
 
@@ -84,8 +81,9 @@ class Sequential {
 
  private:
   /// `for_grad` tells layers whether backward() will follow, so inference
-  /// paths (evaluation, probe losses, predict) skip backward-only caches.
-  Matrix run_forward(const Matrix& x, bool for_grad);
+  /// paths (evaluation, probe losses) skip backward-only caches.
+  /// Returns the logits, which live in activations_.back().
+  const Matrix& run_forward(const Matrix& x, bool for_grad);
 
   std::size_t in_features_;
   std::size_t out_features_ = 0;
@@ -95,7 +93,12 @@ class Sequential {
   std::vector<float> weights_;       // owned storage; empty once bound externally
   std::span<float> wspan_;           // active weight storage (owned or external)
   std::vector<float> grads_;
-  std::vector<Matrix> activations_;  // scratch, reused across calls
+  // Scratch reused across calls, so a warmed-up step allocates nothing:
+  // activations_[i] is layer i's output; grad_flow_/next_ carry the backward
+  // pass's gradient between layers.
+  std::vector<Matrix> activations_;
+  Matrix grad_flow_;
+  Matrix next_;
 };
 
 }  // namespace fedsparse::nn

@@ -165,13 +165,15 @@ void gemm_nx_rows(ConstMatrixView a, ConstMatrixView b, float alpha, MatrixView 
 
 // Shared M-loop threading: row blocks rounded to a multiple of 4 so every row
 // hits the same micro-kernel (4-row vs 1xN tail) as in the serial order —
-// bitwise-identical results.
-void thread_m_loop(std::size_t m, std::size_t k, std::size_t n,
-                   const std::function<void(std::size_t, std::size_t)>& rows_fn) {
+// bitwise-identical results. A template, not a std::function parameter: the
+// callers' [&] lambdas outgrow std::function's small buffer, so every GEMM
+// would allocate; the pool path wraps a reference, which never allocates.
+template <class RowsFn>
+void thread_m_loop(std::size_t m, std::size_t k, std::size_t n, const RowsFn& rows_fn) {
   util::ThreadPool* pool = g_parallel_pool.load(std::memory_order_acquire);
   if (pool != nullptr && pool->size() > 1 && m > 1 && m * k * n >= kParallelFlopThreshold) {
     const std::size_t block = ((std::max<std::size_t>(4, m / (4 * pool->size())) + 3) / 4) * 4;
-    pool->parallel_for_ranges(m, rows_fn, block);
+    pool->parallel_for_ranges(m, std::cref(rows_fn), block);
   } else {
     rows_fn(0, m);
   }

@@ -1,10 +1,12 @@
 #include "util/flags.h"
 
+#include <cstdlib>
+#include <iostream>
 #include <stdexcept>
 
 namespace fedsparse::util {
 
-Flags::Flags(int argc, char** argv) {
+Flags::Flags(int argc, char** argv) : program_(argc > 0 ? argv[0] : "program") {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg.rfind("--", 0) != 0) {
@@ -55,6 +57,10 @@ bool Flags::get_bool(const std::string& name, bool default_value, const std::str
 }
 
 void Flags::check_unknown() const {
+  if (values_.count("help") > 0) {
+    std::cout << usage() << std::flush;
+    std::exit(0);
+  }
   for (const auto& [name, value] : values_) {
     (void)value;
     if (declared_.find(name) == declared_.end()) {
@@ -63,8 +69,8 @@ void Flags::check_unknown() const {
   }
 }
 
-std::string Flags::usage(const std::string& program) const {
-  std::string out = "usage: " + program + " [flags]\n";
+std::string Flags::usage() const {
+  std::string out = "usage: " + program_ + " [flags]\n";
   for (const auto& [name, info] : declared_) {
     out += "  --" + name + " (default: " + info + ")\n";
   }

@@ -2,7 +2,7 @@
 //
 // Supports `--name=value` and `--name value`. Unknown flags are an error so
 // typos surface immediately. Every experiment binary documents its flags via
-// `usage()`.
+// the help strings of its get_* calls; `--help` prints them (check_unknown).
 #pragma once
 
 #include <map>
@@ -26,13 +26,16 @@ class Flags {
 
   bool has(const std::string& name) const { return values_.count(name) > 0; }
 
-  /// Throws if the command line contained flags never declared via get_*.
+  /// Call after the last get_*: with `--help` on the command line, prints
+  /// usage() to stdout and exits 0; otherwise throws if the command line
+  /// contained flags never declared via get_*.
   void check_unknown() const;
 
   /// Human-readable flag summary collected from get_* calls.
-  std::string usage(const std::string& program) const;
+  std::string usage() const;
 
  private:
+  std::string program_;  // argv[0]
   std::map<std::string, std::string> values_;
   mutable std::map<std::string, std::string> declared_;  // name -> "default | help"
 };

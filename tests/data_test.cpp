@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <set>
 #include <stdexcept>
 
@@ -239,10 +240,28 @@ TEST(Minibatch, SamplesWithReplacementWithinRange) {
   auto cfg = femnist_like(0.03, 2);
   const auto fed = make_synthetic(cfg);
   util::Rng rng(4);
-  const auto mb = sample_minibatch(fed.clients[0], 8, rng);
+  Minibatch mb;
+  sample_minibatch(fed.clients[0], 8, rng, mb);
   EXPECT_EQ(mb.y.size(), 8u);
   EXPECT_EQ(mb.x.rows(), 8u);
   for (const auto idx : mb.indices) EXPECT_LT(idx, fed.clients[0].size());
+}
+
+TEST(Minibatch, GatherMatchesSubsetAndReusesStorage) {
+  const auto fed = make_synthetic(femnist_like(0.03, 2));
+  const Dataset& ds = fed.clients[0];
+  Minibatch mb;
+  util::Rng rng(6);
+  sample_minibatch(ds, 8, rng, mb);  // grows the storage past what gather needs
+  const float* storage = mb.x.data();
+  const std::vector<std::size_t> idx = {3, 0, 3};
+  gather(ds, idx, mb);
+  const Dataset sub = ds.subset(idx);
+  EXPECT_EQ(mb.indices, idx);
+  EXPECT_EQ(mb.y, sub.y);
+  ASSERT_EQ(mb.x.rows(), 3u);
+  EXPECT_EQ(std::memcmp(mb.x.data(), sub.x.data(), sub.x.size() * sizeof(float)), 0);
+  EXPECT_EQ(mb.x.data(), storage);
 }
 
 TEST(Minibatch, SmallDatasetUsesAllSamplesOnce) {
@@ -254,11 +273,12 @@ TEST(Minibatch, SmallDatasetUsesAllSamplesOnce) {
   ds.x.resize(3, 2);
   ds.y = {0, 1, 0};
   util::Rng rng(5);
-  const auto mb = sample_minibatch(ds, 32, rng);
+  Minibatch mb;
+  sample_minibatch(ds, 32, rng, mb);
   EXPECT_EQ(mb.y.size(), 3u);
   EXPECT_EQ(mb.indices, (std::vector<std::size_t>{0, 1, 2}));
   Dataset empty;
-  EXPECT_THROW(sample_minibatch(empty, 4, rng), std::invalid_argument);
+  EXPECT_THROW(sample_minibatch(empty, 4, rng, mb), std::invalid_argument);
 }
 
 TEST(Synthetic, SparsePrototypesConcentrateSignal) {

@@ -3,6 +3,7 @@
 // GS method, FedAvg ≡ send-all at period 1, and the adaptive-k plumbing.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <memory>
@@ -20,7 +21,80 @@
 #include "sparsify/method.h"
 
 namespace fedsparse::fl {
+
+// Reaches the evaluation's inputs and the participant sampling that follows
+// it (see Simulation's friend declaration).
+struct SimulationTestPeer {
+  static util::Rng& rng(Simulation& s) { return s.rng_; }
+  static std::span<float> global_weights(Simulation& s) { return s.global_weights(); }
+  static RoundRecord evaluate(Simulation& s) {
+    RoundRecord rec;
+    s.evaluate(rec);
+    return rec;
+  }
+  static std::vector<std::size_t> sample_participants(Simulation& s) {
+    return s.sample_participants();
+  }
+};
+
 namespace {
+
+// The serial evaluation oracle: one private model replica, a weight copy per
+// evaluation, and every client in order on the calling thread — the engine's
+// evaluation before it moved onto the workspace pool.
+class Evaluator {
+ public:
+  Evaluator(const nn::ModelFactory& factory, std::uint64_t seed) {
+    util::Rng rng(seed);
+    model_ = factory(rng);
+  }
+
+  void set_weights(std::span<const float> w) { model_->set_weights(w); }
+
+  /// Mean loss on (a uniform subsample of) `ds`; max_samples == 0 => all.
+  double loss(const data::Dataset& ds, std::size_t max_samples, util::Rng& rng) {
+    data::Dataset storage;
+    const data::Dataset* use = subsampled(ds, max_samples, rng, storage);
+    return model_->forward_loss(use->x, use->y);
+  }
+
+  /// Classification accuracy on (a subsample of) `ds`.
+  double accuracy(const data::Dataset& ds, std::size_t max_samples, util::Rng& rng) {
+    data::Dataset storage;
+    const data::Dataset* use = subsampled(ds, max_samples, rng, storage);
+    return model_->accuracy(use->x, use->y);
+  }
+
+  /// Global loss over `fed`'s clients (data-weighted, in client order), then the
+  /// test accuracy, drawing every subsample from `rng`.
+  RoundRecord evaluate(const data::FederatedDataset& fed, const SimulationConfig& cfg,
+                       util::Rng& rng) {
+    const std::vector<double> weights = fed.data_weights();
+    RoundRecord rec;
+    double loss_sum = 0.0;
+    for (std::size_t i = 0; i < fed.clients.size(); ++i) {
+      const double l = loss(fed.clients[i], cfg.eval_samples_per_client, rng);
+      // Fused, as the engine's loop compiled under -march=native (tests
+      // build without it, so the contraction is spelled out).
+      loss_sum = std::fma(weights[i], l, loss_sum);
+    }
+    rec.global_loss = loss_sum;
+    rec.accuracy = accuracy(fed.test, cfg.eval_test_samples, rng);
+    return rec;
+  }
+
+ private:
+  static const data::Dataset* subsampled(const data::Dataset& ds, std::size_t max_samples,
+                                         util::Rng& rng, data::Dataset& storage) {
+    if (max_samples == 0 || ds.size() <= max_samples) return &ds;
+    std::vector<std::size_t> idx(max_samples);
+    for (auto& v : idx) v = rng.uniform_u64(ds.size());
+    storage = ds.subset(idx);
+    return &storage;
+  }
+
+  std::unique_ptr<nn::Sequential> model_;
+};
 
 data::SyntheticConfig tiny_dataset(std::uint64_t seed = 1) {
   data::SyntheticConfig cfg;
@@ -427,6 +501,56 @@ TEST(SimulationConfigValidation, MessageNamesTheSetting) {
     EXPECT_NE(std::string(e.what()).find("participation"), std::string::npos) << e.what();
   }
   EXPECT_NO_THROW(fast_sim().validate());
+}
+
+// Two identical runs; then one evaluates on the pool and the other replays
+// the serial oracle on its own rng_. Loss and accuracy must agree bit for
+// bit, and both runs must go on to sample the same participants.
+void expect_pooled_evaluation_matches_oracle(const std::string& method, double fixed_k,
+                                             std::size_t eval_samples,
+                                             std::size_t test_samples) {
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    SimulationConfig cfg = fast_sim();
+    cfg.threads = threads;
+    cfg.max_rounds = 12;
+    cfg.participation = 0.6;  // sampling draws from rng_ after the evaluation
+    cfg.eval_samples_per_client = eval_samples;
+    cfg.eval_test_samples = test_samples;
+    auto pooled = make_sim(method, fixed_k, cfg);
+    auto serial = make_sim(method, fixed_k, cfg);
+    pooled->run();
+    serial->run();
+
+    const RoundRecord got = SimulationTestPeer::evaluate(*pooled);
+    Evaluator oracle(tiny_model(), 3);
+    oracle.set_weights(SimulationTestPeer::global_weights(*serial));
+    const auto fed = data::make_synthetic(tiny_dataset());
+    const RoundRecord want = oracle.evaluate(fed, cfg, SimulationTestPeer::rng(*serial));
+    EXPECT_TRUE(std::isfinite(got.global_loss));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.global_loss),
+              std::bit_cast<std::uint64_t>(want.global_loss));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.accuracy),
+              std::bit_cast<std::uint64_t>(want.accuracy));
+    EXPECT_EQ(SimulationTestPeer::sample_participants(*pooled),
+              SimulationTestPeer::sample_participants(*serial));
+  }
+}
+
+TEST(EvaluationOnPool, WholeDatasetClientsMatchSerialOracle) {
+  expect_pooled_evaluation_matches_oracle("fab_topk", 20, 0, 0);
+}
+
+TEST(EvaluationOnPool, SubsampledClientsMatchSerialOracle) {
+  // Every client holds more than 10 samples and the test set 128, so each
+  // evaluation draws 5·10 + 50 rows from rng_.
+  const auto fed = data::make_synthetic(tiny_dataset());
+  for (const auto& c : fed.clients) ASSERT_GT(c.size(), 10u);
+  expect_pooled_evaluation_matches_oracle("fab_topk", 20, 10, 50);
+}
+
+TEST(EvaluationOnPool, FedAvgMatchesSerialOracle) {
+  expect_pooled_evaluation_matches_oracle("fedavg", 20, 10, 50);
 }
 
 TEST(Evaluator, LossAndAccuracyOnKnownModel) {

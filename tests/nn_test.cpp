@@ -3,10 +3,14 @@
 // extension, the flat gradient vector the whole sparsification stack consumes.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <stdexcept>
+#include <vector>
 
 #include "nn/conv2d.h"
 #include "nn/linear.h"
@@ -338,6 +342,47 @@ TEST(ReLULayer, ForwardBackwardMask) {
   EXPECT_FLOAT_EQ(dx.at(0, 0), 0.0f);
   EXPECT_FLOAT_EQ(dx.at(0, 1), 1.0f);
   EXPECT_FLOAT_EQ(dx.at(0, 2), 0.0f);  // subgradient 0 at exactly 0
+}
+
+// Bitwise check of the vectorized loops against the scalar definition:
+// y = x > 0 ? x : +0, dx = x > 0 ? dy : +0. Sizes 7, 17 and 512 leave vector
+// tails; the last size re-runs a smaller input on the grown mask.
+TEST(ReLULayer, MatchesScalarReferenceBitwise) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  const std::vector<float> specials = {-0.0f,    0.0f,        nan,       -nan,    inf,
+                                       -inf,     denorm,      -denorm,   FLT_MIN / 4,
+                                       FLT_MAX,  -FLT_MAX,    1.0f,      -1.0f};
+  const auto bits = [](float v) { return std::bit_cast<std::uint32_t>(v); };
+  ReLU relu;
+  util::Rng rng(11);
+  std::size_t negative_zero_through_active = 0;
+  for (const std::size_t n : {1u, 7u, 8u, 17u, 512u, 7u}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    Matrix x(1, n), dy(1, n), y, dx;
+    for (std::size_t i = 0; i < n; ++i) {
+      // Specials at every other lane, so each lands in both vector body and
+      // tail positions across the sizes.
+      x.data()[i] = i % 2 == 0 ? specials[(i / 2) % specials.size()]
+                               : static_cast<float>(rng.normal(0.0, 1.0));
+      dy.data()[i] = static_cast<float>(rng.normal(0.0, 1.0));
+      if (i % 3 == 0) dy.data()[i] = -0.0f;
+    }
+    if (n == 1) x.data()[0] = 2.0f;  // one active lane carrying a −0.0 gradient
+    relu.forward(x, y);
+    relu.backward(dy, dx);
+    ASSERT_EQ(y.size(), n);
+    ASSERT_EQ(dx.size(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const float xi = x.data()[i];
+      const bool active = xi > 0.0f;
+      EXPECT_EQ(bits(y.data()[i]), bits(active ? xi : 0.0f)) << "forward lane " << i;
+      EXPECT_EQ(bits(dx.data()[i]), bits(active ? dy.data()[i] : 0.0f)) << "backward lane " << i;
+      if (active && bits(dy.data()[i]) == bits(-0.0f)) ++negative_zero_through_active;
+    }
+  }
+  EXPECT_GT(negative_zero_through_active, 0u);
 }
 
 TEST(MaxPoolLayer, SelectsMaxAndRoutesGradient) {

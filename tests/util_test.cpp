@@ -8,6 +8,7 @@
 #include <fstream>
 #include <set>
 #include <stdexcept>
+#include <string>
 
 #include "util/csv.h"
 #include "util/flags.h"
@@ -344,6 +345,16 @@ TEST(Flags, RejectsUnknownAndMalformed) {
   const char* argv3[] = {"prog", "--x=abc"};
   Flags flags3(2, const_cast<char**>(argv3));
   EXPECT_THROW(flags3.get_double("x", 0.0), std::invalid_argument);
+}
+
+TEST(Flags, HelpPrintsUsageAndExitsZero) {
+  const char* argv[] = {"prog", "--help"};
+  Flags flags(2, const_cast<char**>(argv));
+  EXPECT_EQ(flags.get_int("rounds", 5, "training rounds"), 5);
+  const std::string usage = flags.usage();
+  EXPECT_NE(usage.find("usage: prog"), std::string::npos) << usage;
+  EXPECT_NE(usage.find("--rounds (default: 5  # training rounds)"), std::string::npos) << usage;
+  EXPECT_EXIT(flags.check_unknown(), ::testing::ExitedWithCode(0), "");
 }
 
 TEST(Splitmix, IsDeterministicAndMixes) {
