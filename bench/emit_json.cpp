@@ -32,6 +32,7 @@
 #include "nn/linear.h"
 #include "nn/models.h"
 #include "online/controller.h"
+#include "reference_kernels.h"
 #include "sparsify/accumulator.h"
 #include "sparsify/fab_topk.h"
 #include "sparsify/method.h"
@@ -117,7 +118,7 @@ void bench_topk(std::vector<KernelResult>& out) {
   const auto v = random_vec(d, 1);
   const std::span<const float> vs{v.data(), v.size()};
   out.push_back(measure("topk_heap_D1M_k1000", "", static_cast<double>(d), [&] {
-    do_not_optimize(sparsify::top_k_entries_heap(vs, k));
+    do_not_optimize(reference::top_k_entries_heap(vs, k));
   }));
   sparsify::TopKWorkspace ws;
   sparsify::SparseVector result;
@@ -137,7 +138,7 @@ void bench_gemm(std::vector<KernelResult>& out) {
   const double flops = 2.0 * static_cast<double>(n) * n * n;
   out.push_back(measure("gemm_reference_256", "", flops, [&] {
     tensor::zero(c.flat());
-    tensor::detail::gemm_nn_reference(a, b, 1.0f, c);
+    reference::gemm_nn(a, b, 1.0f, c);
     do_not_optimize(c);
   }));
   out.push_back(measure("gemm_blocked_256", "gemm_reference_256", flops, [&] {

@@ -3,8 +3,9 @@
 //
 // Part 1 prices one synchronized round by hand under a bimodal fast/slow
 // population — the straggler formula
-//   τ_m = max_i (compute_i + uplink_i(2·|J_i|)) + downlink(broadcast)
-// versus the homogeneous Section V model, for the same payloads.
+//   τ_m = max_i compute_i + β·(v_i/up_i + d/down_min)/(2D)
+// versus the same formula over default profiles (the paper's Section V
+// model), for the same payloads.
 //
 // Part 2 trains the same federated task under "uniform" and "bimodal" with
 // Algorithm 3 adapting k, then reports where k settled, who bound the rounds,
@@ -25,19 +26,20 @@ int main(int argc, char** argv) {
 
     // --- Part 1: one round, priced by hand --------------------------------
     const std::size_t n = 4, dim = 10000, k = 200;
-    fl::TimingModel nominal{beta, 1.0, dim};
     fl::NetworkConfig net;
     net.profiles.assign(n, fl::ClientProfile{});
     net.profiles[3] = {0.1, 0.5, 2.0};  // one DSL straggler: 10x slower uplink
 
-    fl::NetworkModel model(nominal, net, n, /*seed=*/1);
+    const fl::NetworkModel paper(beta, 1.0, dim, fl::NetworkConfig{}, n, /*seed=*/1);
+    fl::NetworkModel model(beta, 1.0, dim, net, n, /*seed=*/1);
     model.begin_round(1);
     const std::vector<std::size_t> ids = {0, 1, 2, 3};
     // Everyone uploads 2k values; the broadcast carries 2k values back.
     const std::vector<double> uplinks(n, 2.0 * static_cast<double>(k));
-    const auto tau = model.round_time(ids, uplinks, 2.0 * k, 2.0 * k);
+    const auto tau = model.round_time(ids, uplinks, 2.0 * k);
     std::printf("one round, k=%zu of D=%zu, beta=%g\n", k, dim, beta);
-    std::printf("  homogeneous Section V model: tau = %.3f\n", nominal.theta(k));
+    std::printf("  homogeneous Section V model: tau = %.3f\n",
+                paper.theta(static_cast<double>(k), ids));
     std::printf("  bimodal straggler formula:   tau = %.3f (bound by client %lld)\n\n",
                 tau.time, static_cast<long long>(tau.slowest_client));
 
@@ -73,7 +75,7 @@ int main(int argc, char** argv) {
         std::printf("  straggler: client %lld bound %zu/%zu rounds\n",
                     static_cast<long long>(modal), modal_count, res.rounds_run);
       } else {
-        std::printf("  straggler: none (homogeneous rounds)\n");
+        std::printf("  straggler: none (every participant finished together)\n");
       }
       const auto traffic = fl::client_traffic_rows(
           res.client_uplink_values, res.client_downlink_values, res.client_rounds_participated);

@@ -21,7 +21,6 @@
 #include "fl/network.h"
 #include "fl/replay.h"
 #include "fl/simulation.h"
-#include "fl/timing.h"
 #include "nn/models.h"
 #include "nn/sequential.h"
 #include "online/continuous_bandit.h"

@@ -9,17 +9,15 @@
 
 namespace fedsparse::fl {
 
-bool NetworkConfig::trivial() const noexcept {
-  if (rate_jitter_sigma != 0.0 || p_drop != 0.0) return false;
-  for (const auto& p : profiles) {
-    if (!p.is_default()) return false;
-  }
-  return true;
-}
-
-NetworkModel::NetworkModel(TimingModel nominal, NetworkConfig cfg, std::size_t num_clients,
-                           std::uint64_t seed)
-    : nominal_(nominal), cfg_(std::move(cfg)), n_(num_clients), rng_(seed ^ 0x4E7F10CULL) {
+NetworkModel::NetworkModel(double comm_time, double compute_time, std::size_t dim,
+                           NetworkConfig cfg, std::size_t num_clients, std::uint64_t seed)
+    : comm_time_(comm_time),
+      compute_time_(compute_time),
+      two_dim_(2.0 * static_cast<double>(dim)),
+      cfg_(std::move(cfg)),
+      n_(num_clients),
+      rng_(seed ^ 0x4E7F10CULL) {
+  if (dim == 0) throw std::invalid_argument("NetworkModel: dim == 0");
   if (!cfg_.profiles.empty() && cfg_.profiles.size() != n_) {
     throw std::invalid_argument("NetworkModel: profiles must be empty or one per client");
   }
@@ -37,7 +35,6 @@ NetworkModel::NetworkModel(TimingModel nominal, NetworkConfig cfg, std::size_t n
   if (cfg_.p_drop > 0.0 && cfg_.p_recover == 0.0) {
     throw std::invalid_argument("NetworkModel: p_recover = 0 with churn strands every client");
   }
-  heterogeneous_ = !cfg_.trivial();
   if (cfg_.profiles.empty()) cfg_.profiles.assign(n_, ClientProfile{});
   realized_ = cfg_.profiles;
 
@@ -72,7 +69,9 @@ void NetworkModel::rebuild_availability_lists() {
 
 void NetworkModel::begin_round(std::size_t round) {
   (void)round;
-  if (!heterogeneous_) return;
+  const bool jitter = cfg_.rate_jitter_sigma > 0.0;
+  const bool churn = cfg_.p_drop > 0.0;
+  if (!jitter && !churn) return;
   // Telemetry: availability before this round's transitions; churn flips are
   // counted against it below. No-ops (and no registration cost beyond the
   // first call) while telemetry is off.
@@ -82,9 +81,6 @@ void NetworkModel::begin_round(std::size_t round) {
   // One sequential pass keeps the fluctuation stream independent of thread
   // count and participant order. Draw order per client: jitter (up, down),
   // then the availability transition.
-  const bool jitter = cfg_.rate_jitter_sigma > 0.0;
-  const bool churn = cfg_.p_drop > 0.0;
-  if (!jitter && !churn) return;
   if (churn) {
     online_ids_.clear();
     offline_ids_.clear();
@@ -121,70 +117,61 @@ double NetworkModel::uplink_rate(std::size_t i) const { return realized_[i].upli
 double NetworkModel::downlink_rate(std::size_t i) const { return realized_[i].downlink_rate; }
 
 double NetworkModel::compute_time(std::size_t i) const {
-  return nominal_.compute_time * realized_[i].compute_multiplier;
+  return compute_time_ * realized_[i].compute_multiplier;
 }
 
-double NetworkModel::uplink_time(std::size_t i, double values) const {
-  return nominal_.comm_part(values, 0.0) / realized_[i].uplink_rate;
-}
-
-double NetworkModel::downlink_time(std::size_t i, double values) const {
-  return nominal_.comm_part(0.0, values) / realized_[i].downlink_rate;
-}
-
-RoundTiming NetworkModel::round_time(std::span<const std::size_t> ids,
-                                     std::span<const double> uplink_values_per_slot,
-                                     double legacy_uplink_values,
+template <class Uplink>
+RoundTiming NetworkModel::time_round(std::span<const std::size_t> ids, Uplink uplink,
                                      double downlink_values) const {
-  RoundTiming out;
-  if (ids.empty()) {
-    // Nobody participated: the server idles for one nominal compute round.
-    out.time = nominal_.compute_time;
-    return out;
-  }
-  if (!heterogeneous_) {
-    // Homogeneous fast path — the exact legacy expression, so traces with
-    // all-default profiles stay byte-identical to the pre-subsystem engine.
-    // No straggler is reported: identical clients with (near-)identical
-    // payloads would tie, and naming the tie-break winner reads as a device
-    // problem that does not exist.
-    out.time = nominal_.round_time(legacy_uplink_values, downlink_values);
-    return out;
-  }
-  // Straggler-correct: the round ends when the last participant finishes its
-  // compute + its own upload over its own link, plus the broadcast reaching
-  // the slowest participating downlink.
-  double worst = -1.0, best = std::numeric_limits<double>::infinity();
   double slowest_down = std::numeric_limits<double>::infinity();
+  for (const std::size_t i : ids) slowest_down = std::min(slowest_down, realized_[i].downlink_rate);
+  const double down = downlink_values / slowest_down;
+  // The round ends when the last participant has computed, sent its own
+  // payload over its own link, and the broadcast has reached the slowest
+  // participating downlink.
+  RoundTiming out;
+  double worst = -1.0, best = std::numeric_limits<double>::infinity();
   for (std::size_t s = 0; s < ids.size(); ++s) {
     const std::size_t i = ids[s];
-    const double t = compute_time(i) + uplink_time(i, uplink_values_per_slot[s]);
+    const double t = compute_time(i) +
+                     comm_time_ * (uplink(s) / realized_[i].uplink_rate + down) / two_dim_;
     if (t > worst) {
       worst = t;
       out.slowest_client = static_cast<std::int64_t>(i);
     }
     best = std::min(best, t);
-    slowest_down = std::min(slowest_down, realized_[i].downlink_rate);
   }
   // When several participants all finished at the same instant nobody
-  // straggled (e.g. identical non-default profiles): report none rather
-  // than the tie-break winner. Ties only among the slowest group still name
-  // one of the binding clients, and a lone participant genuinely bound the
-  // round.
+  // straggled: report none rather than the tie-break winner. Ties only
+  // among the slowest group still name one of the binding clients, and a
+  // lone participant genuinely bound the round.
   if (ids.size() > 1 && worst == best) out.slowest_client = -1;
-  out.time = worst + nominal_.comm_part(0.0, downlink_values) / slowest_down;
+  out.time = worst;
   return out;
 }
 
-double NetworkModel::theta(double k, std::span<const std::size_t> ids) const {
-  if (!heterogeneous_ || ids.empty()) return nominal_.theta(k);
-  double worst = 0.0;
-  double slowest_down = std::numeric_limits<double>::infinity();
-  for (const std::size_t i : ids) {
-    worst = std::max(worst, compute_time(i) + uplink_time(i, 2.0 * k));
-    slowest_down = std::min(slowest_down, realized_[i].downlink_rate);
+RoundTiming NetworkModel::round_time(std::span<const std::size_t> ids,
+                                     std::span<const double> uplink_values_per_slot,
+                                     double downlink_values) const {
+  if (ids.empty()) {
+    // Nobody participated: the server idles for one nominal compute round.
+    RoundTiming idle;
+    idle.time = compute_time_;
+    return idle;
   }
-  return worst + nominal_.comm_part(0.0, 2.0 * k) / slowest_down;
+  return time_round(
+      ids, [&](std::size_t s) { return uplink_values_per_slot[s]; }, downlink_values);
+}
+
+double NetworkModel::arrival_time(std::size_t i, double values) const {
+  const std::size_t one[] = {i};
+  return time_round(one, [values](std::size_t) { return values; }, 0.0).time;
+}
+
+double NetworkModel::theta(double k, std::span<const std::size_t> ids) const {
+  const double values = 2.0 * k;
+  if (ids.empty()) return compute_time_ + comm_time_ * (values + values) / two_dim_;
+  return time_round(ids, [values](std::size_t) { return values; }, values).time;
 }
 
 // ---------------------------------------------------------------- scenarios
@@ -200,7 +187,7 @@ Scenario make_scenario(const std::string& name, std::size_t n, std::uint64_t see
   util::Rng rng(seed ^ 0x5CE7A210ULL);
   if (name == "uniform") {
     s.description = "homogeneous clients (the paper's Section V model)";
-    // Empty profiles: NetworkModel reduces to TimingModel bit-for-bit.
+    // Empty profiles: every client on the nominal link.
   } else if (name == "bimodal") {
     s.description = "3/4 fast fiber clients, 1/4 slow DSL stragglers";
     s.network.profiles.assign(n, ClientProfile{});
@@ -232,7 +219,6 @@ Scenario make_scenario(const std::string& name, std::size_t n, std::uint64_t see
     s.description = "uniform half-rate WAN where every transmitted value costs money";
     s.network.profiles.assign(n, ClientProfile{0.5, 0.5, 1.0});
     s.money_per_value = 0.002;
-    s.weight_money = 1.0;
   } else if (name == "churn_heavy") {
     // The SparsyFed cross-device regime the tiered accumulators target: a
     // long-tail link population where most clients are offline in any given
@@ -255,7 +241,6 @@ Scenario make_scenario(const std::string& name, std::size_t n, std::uint64_t see
     s.description = "half-rate WAN with 5% upload drops and 1% payload corruption";
     s.network.profiles.assign(n, ClientProfile{0.5, 0.5, 1.0});
     s.money_per_value = 0.002;
-    s.weight_money = 1.0;
     s.faults.drop_prob = 0.05;
     s.faults.corrupt_prob = 0.01;
   } else if (name == "byzantine_mix") {

@@ -1,12 +1,13 @@
-// Heterogeneous network & device model: per-client rate profiles, rate
-// fluctuation, and Markov on/off availability.
+// Network & device model: the paper's Section V timing model, per-client
+// rate profiles, rate fluctuation, and Markov on/off availability.
 //
-// The paper's Section V timing model is a single (β, compute) pair — every
-// client is identical and a round costs compute + β·(up+down)/(2D). Real
-// cross-device deployments are nothing like that: uplinks differ by orders of
-// magnitude, rates fluctuate round to round, and devices drop off the network
-// entirely. NetworkModel generalizes TimingModel to per-client profiles while
-// keeping the homogeneous case *byte-identical* to the legacy path:
+// The paper normalizes time so that one round of computation costs 1 and
+// exchanging the full D-dimensional gradient (uplink plus downlink) costs β;
+// sending V values costs β·V/(2D), one index/value pair counting as 2 values.
+// Real cross-device deployments add per-client links and devices that drop
+// off the network, so NetworkModel prices every round with one formula:
+//
+//        τ_m = max_{i ∈ participants} compute_i + β·(v_i/up_i + d/down_min)/(2D)
 //
 //  * ClientProfile — uplink/downlink bandwidth multipliers (1 = the nominal β
 //    link; 0.1 = ten times slower) and a compute-time multiplier.
@@ -15,18 +16,16 @@
 //    p_recover). Both draw from a dedicated util::Rng stream, sequentially
 //    over clients inside begin_round(), so realizations are reproducible and
 //    independent of thread count.
-//  * Straggler-correct synchronized timing —
-//        τ_m = max_{i ∈ participants} (compute_i + uplink_i(2·|J_i|))
-//              + downlink_slowest(broadcast payload)
-//    replacing the homogeneous 2·max_i|J_i| shortcut: the client that binds
-//    the round is the one whose compute PLUS its own payload over its own
-//    link finishes last, not necessarily the one with the largest payload.
+//  * v_i is participant i's own upload and d the broadcast, which waits on
+//    the slowest participating downlink. The client that binds the round is
+//    the one whose compute PLUS its own payload over its own link finishes
+//    last, not necessarily the one with the largest payload.
 //
-// When every profile is the default and fluctuation is off, round_time()
-// delegates to TimingModel::round_time on the method's legacy payload values
-// — the exact same floating-point expression as before this subsystem, so
-// homogeneous simulation traces stay bit-reproducible (pinned by
-// tests/network_test.cpp).
+// With every profile at its default (all rates 1) the divisions are exact and
+// τ_m is the paper's compute + β·(2·max_i|J_i| + d)/(2D): a k-element
+// bidirectional round costs θ(k) = 1 + 2βk/D, send-all costs 1 + β, and
+// FedAvg syncing every ⌊D/(2k)⌋ rounds averages to the same communication
+// per round — the paper's matched-budget setup (pinned by tests/fl_test.cpp).
 #pragma once
 
 #include <cstdint>
@@ -35,7 +34,6 @@
 #include <vector>
 
 #include "fl/faults.h"
-#include "fl/timing.h"
 #include "sparsify/robust.h"
 #include "util/rng.h"
 
@@ -48,15 +46,11 @@ struct ClientProfile {
   double uplink_rate = 1.0;
   double downlink_rate = 1.0;
   double compute_multiplier = 1.0;
-
-  bool is_default() const noexcept {
-    return uplink_rate == 1.0 && downlink_rate == 1.0 && compute_multiplier == 1.0;
-  }
 };
 
-/// Full description of a heterogeneous client population. Default-constructed
-/// it describes the paper's homogeneous world (NetworkModel then reduces to
-/// TimingModel exactly).
+/// Full description of a client population. Default-constructed it describes
+/// the paper's homogeneous world: every client on the nominal link, always
+/// available.
 struct NetworkConfig {
   /// One profile per client; empty means "every client is default".
   std::vector<ClientProfile> profiles;
@@ -71,15 +65,12 @@ struct NetworkConfig {
   /// p_drop = 0 keeps every client always available.
   double p_drop = 0.0;
   double p_recover = 1.0;
-
-  /// True when nothing deviates from the homogeneous model.
-  bool trivial() const noexcept;
 };
 
 /// What one synchronized round cost and who bound it. slowest_client is -1
-/// when no one straggled: homogeneous rounds, rounds with no participants,
-/// and rounds where every participant finished at the same instant. Ties
-/// within the slowest group alone name its lowest-slot member.
+/// when no one straggled: rounds with no participants, and rounds where every
+/// participant finished at the same instant. Ties within the slowest group
+/// alone name its lowest-slot member.
 struct RoundTiming {
   double time = 0.0;                 // τ_m
   std::int64_t slowest_client = -1;  // client id of the binding straggler
@@ -87,20 +78,17 @@ struct RoundTiming {
 
 class NetworkModel {
  public:
-  /// Homogeneous model over `nominal` (identical to TimingModel semantics).
+  /// The paper's defaults (β = 10, compute 1) over D = 1 and no clients.
   NetworkModel() = default;
 
-  /// `cfg.profiles` must be empty or have exactly `num_clients` entries.
-  /// `seed` feeds the fluctuation stream (jitter + availability chain).
-  NetworkModel(TimingModel nominal, NetworkConfig cfg, std::size_t num_clients,
-               std::uint64_t seed);
+  /// `comm_time` is β, `compute_time` the nominal per-round compute and `dim`
+  /// the model dimension D (> 0). `cfg.profiles` must be empty or have
+  /// exactly `num_clients` entries. `seed` feeds the fluctuation stream
+  /// (jitter + availability chain).
+  NetworkModel(double comm_time, double compute_time, std::size_t dim, NetworkConfig cfg,
+               std::size_t num_clients, std::uint64_t seed);
 
   std::size_t num_clients() const noexcept { return n_; }
-  const TimingModel& nominal() const noexcept { return nominal_; }
-
-  /// False only when profiles/fluctuation all match the homogeneous model;
-  /// the false path reproduces TimingModel arithmetic bit-for-bit.
-  bool heterogeneous() const noexcept { return heterogeneous_; }
   bool has_churn() const noexcept { return cfg_.p_drop > 0.0; }
 
   /// Advances the fluctuation state to round m (1-based): redraws jitter
@@ -129,30 +117,35 @@ class NetworkModel {
   double downlink_rate(std::size_t i) const;
   double compute_time(std::size_t i) const;
 
-  /// Time for client i to transmit `values` payload values up / down.
-  double uplink_time(std::size_t i, double values) const;
-  double downlink_time(std::size_t i, double values) const;
+  /// When client i's upload of `values` payload values reaches the server:
+  /// the round formula for client i alone with no broadcast (d = 0).
+  double arrival_time(std::size_t i, double values) const;
 
   /// τ_m over the participating clients. `uplink_values_per_slot` is aligned
-  /// with `ids` (slot s belongs to client ids[s]); `legacy_uplink_values` is
-  /// the method's homogeneous accounting (2·max_i|J_i| or D) used verbatim on
-  /// the homogeneous fast path. The broadcast term waits on the slowest
-  /// participating downlink. Empty `ids` costs nothing (no round happened).
+  /// with `ids` (slot s belongs to client ids[s]); `downlink_values` is the
+  /// broadcast payload. Empty `ids` costs one idle nominal compute round.
   RoundTiming round_time(std::span<const std::size_t> ids,
                          std::span<const double> uplink_values_per_slot,
-                         double legacy_uplink_values, double downlink_values) const;
+                         double downlink_values) const;
 
-  /// θ(k) analogue: hypothetical k-element bidirectional GS round (every
-  /// participant uploads 2k values) over the given participants at the
-  /// current realized rates. Matches TimingModel::theta exactly when
-  /// homogeneous.
+  /// θ_m(k): the time of a hypothetical k-element bidirectional round over
+  /// the given participants at the current realized rates — round_time with
+  /// every v_i = d = 2k (continuous k allowed: the derivative-sign
+  /// estimator extrapolates τ̂ with it). With no participants it is the
+  /// nominal client's θ(k) = compute + 2βk/D.
   double theta(double k, std::span<const std::size_t> ids) const;
 
  private:
-  TimingModel nominal_{};
+  /// The round formula; `uplink(s)` gives slot s's upload in values.
+  template <class Uplink>
+  RoundTiming time_round(std::span<const std::size_t> ids, Uplink uplink,
+                         double downlink_values) const;
+
+  double comm_time_ = 10.0;  // β
+  double compute_time_ = 1.0;
+  double two_dim_ = 2.0;     // 2D
   NetworkConfig cfg_{};
   std::size_t n_ = 0;
-  bool heterogeneous_ = false;
   util::Rng rng_{1};
   void rebuild_availability_lists();
 
@@ -171,9 +164,9 @@ struct Scenario {
   std::string name;
   std::string description;
   NetworkConfig network;
-  /// SimulationConfig money-term overrides; 0 keeps the pure-time objective.
+  /// SimulationConfig money-term override: the cost of one transmitted
+  /// value in units of simulated time; 0 keeps the pure-time objective.
   double money_per_value = 0.0;
-  double weight_money = 0.0;
   /// Fault injection (fl/faults.h); trivial by default. apply_scenario also
   /// enables server-side upload screening when this is non-trivial.
   FaultConfig faults;

@@ -39,6 +39,24 @@ void SimulationConfig::validate() const {
     reject("compute_time", compute_time,
            "the per-round compute time must be finite and > 0 (the unit of simulated time)");
   }
+  if (!(max_time > 0.0)) {
+    reject("max_time", max_time, "the simulated-time budget must be > 0 (inf = no budget)");
+  }
+  if (!(target_loss >= 0.0)) {
+    reject("target_loss", target_loss, "the stopping loss must be >= 0 (0 = never stop early)");
+  }
+  if (!(switch_at_loss >= 0.0)) {
+    reject("switch_at_loss", switch_at_loss,
+           "the controller-switch loss must be >= 0 (0 = never switch)");
+  }
+  if (switch_at_loss > 0.0 && !(switch_to_k >= 1.0 && std::isfinite(switch_to_k))) {
+    reject("switch_to_k", switch_to_k,
+           "the fixed k installed at switch_at_loss must be finite and >= 1");
+  }
+  if (!(money_per_value >= 0.0) || !std::isfinite(money_per_value)) {
+    reject("money_per_value", money_per_value,
+           "the money cost of one transmitted value must be finite and >= 0");
+  }
   if (!(participation > 0.0 && participation <= 1.0)) {
     reject("participation", participation,
            "the sampled fraction of online clients must be in (0, 1]");
@@ -55,8 +73,7 @@ void SimulationConfig::validate() const {
 
 double SimulationConfig::round_cost(double time, double uplink_values,
                                     double downlink_values) const {
-  const double money = money_per_value * (uplink_values + downlink_values);
-  return time + weight_money * money;
+  return time + money_per_value * (uplink_values + downlink_values);
 }
 
 Simulation::Simulation(SimulationConfig cfg, data::FederatedDataset dataset,
@@ -87,8 +104,8 @@ Simulation::Simulation(SimulationConfig cfg, data::FederatedDataset dataset,
     clients_.push_back(std::make_unique<Client>(i, std::move(dataset.clients[i]), dim_,
                                                 util::splitmix64(seed_state)));
   }
-  network_ = NetworkModel(TimingModel{cfg.comm_time, cfg.compute_time, dim_}, cfg.network,
-                          clients_.size(), cfg.seed);
+  network_ = NetworkModel(cfg.comm_time, cfg.compute_time, dim_, cfg.network, clients_.size(),
+                          cfg.seed);
 
   // Weight layout: the shared store always holds w(m) for synchronized
   // methods; FedAvg-style methods (diverging local weights) give every
@@ -474,12 +491,10 @@ void Simulation::stage_schedule(RoundContext& ctx) {
   arrival_scratch_.clear();
   const double est_payload = 2.0 * static_cast<double>(std::min(ctx.k_int, dim_));
   for (const std::size_t i : part) {
-    arrival_scratch_.emplace_back(network_.compute_time(i) + network_.uplink_time(i, est_payload),
-                                  i);
+    arrival_scratch_.emplace_back(network_.arrival_time(i, est_payload), i);
   }
   for (const std::size_t i : triggered_ids_) {
-    arrival_scratch_.emplace_back(network_.compute_time(i) + network_.uplink_time(i, est_payload),
-                                  i);
+    arrival_scratch_.emplace_back(network_.arrival_time(i, est_payload), i);
   }
   std::sort(arrival_scratch_.begin(), arrival_scratch_.end());
 
@@ -758,32 +773,25 @@ void Simulation::stage_account(RoundContext& ctx, SimulationResult& res, double&
   const sparsify::RoundOutcome& outcome = ctx.outcome;
 
   // Straggler-correct round timing. Synchronized: τ_m maxes each
-  // participant's compute + own-payload-over-own-link, then adds the
-  // broadcast over the slowest participating downlink (the homogeneous fast
-  // path inside round_time() reproduces the legacy TimingModel expression
-  // bit-for-bit). Buffered async: τ_m waits only on FRESH arrivals — a
-  // buffered contribution's transit overlapped an earlier round's window and
-  // costs this flush nothing. That is the wall-clock win over the barrier;
-  // with every slot fresh the subset IS the flush and the legacy max below
-  // reproduces outcome.uplink_values exactly (2·|J| payloads are integers,
-  // exact in double), keeping the degenerate case bitwise synchronized.
+  // participant's compute + own-payload-over-own-link + the broadcast over
+  // the slowest participating downlink. Buffered async: τ_m waits only on
+  // FRESH arrivals — a buffered contribution's transit overlapped an earlier
+  // round's window and costs this flush nothing. That is the wall-clock win
+  // over the barrier; with every slot fresh the subset IS the flush, keeping
+  // the degenerate case bitwise synchronized.
   uplink_slots_.resize(flush.size());
   for (std::size_t s = 0; s < flush.size(); ++s) uplink_slots_[s] = outcome.client_uplink(s);
   if (cfg_.aggregation == AggregationMode::kSynchronized) {
-    ctx.round_timing =
-        network_.round_time(flush, uplink_slots_, outcome.uplink_values, outcome.downlink_values);
+    ctx.round_timing = network_.round_time(flush, uplink_slots_, outcome.downlink_values);
   } else {
     fresh_ids_.clear();
     fresh_uplink_.clear();
-    double fresh_legacy = 0.0;
     for (std::size_t s = 0; s < flush.size(); ++s) {
       if (!fresh_mask_[s]) continue;
       fresh_ids_.push_back(flush[s]);
       fresh_uplink_.push_back(uplink_slots_[s]);
-      fresh_legacy = std::max(fresh_legacy, uplink_slots_[s]);
     }
-    ctx.round_timing =
-        network_.round_time(fresh_ids_, fresh_uplink_, fresh_legacy, outcome.downlink_values);
+    ctx.round_timing = network_.round_time(fresh_ids_, fresh_uplink_, outcome.downlink_values);
   }
 
   // Round-cost payload totals: round *time* maxes over the parallel
@@ -1128,10 +1136,7 @@ SimulationResult Simulation::run() {
 
 void apply_scenario(const Scenario& s, SimulationConfig& cfg) {
   cfg.network = s.network;
-  if (s.weight_money != 0.0) {
-    cfg.weight_money = s.weight_money;
-    cfg.money_per_value = s.money_per_value;
-  }
+  if (s.money_per_value != 0.0) cfg.money_per_value = s.money_per_value;
   cfg.faults = s.faults;
   // A faulty scenario without the screen would feed corrupted payloads
   // straight into the aggregation arena; turn the defense on with it.

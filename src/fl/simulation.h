@@ -3,8 +3,9 @@
 // One Simulation wires together: N clients (local non-i.i.d. data and an
 // accumulated gradient each), a sparsification Method (FAB-top-k or a
 // baseline), a KController (fixed k, Algorithm 2/3, or a baseline), the
-// normalized TimingModel, and the derivative-sign probe protocol of
-// Section IV-E. It records everything the paper's figures plot.
+// paper's normalized timing model (fl::NetworkModel, which also carries
+// per-client links and availability), and the derivative-sign probe protocol
+// of Section IV-E. It records everything the paper's figures plot.
 //
 // Round engine: Algorithm 1 (Lines 13–15) keeps every client at the same
 // global weights w(m), so the engine stores ONE shared weight vector — the
@@ -30,7 +31,6 @@
 #include "fl/faults.h"
 #include "fl/metrics.h"
 #include "fl/network.h"
-#include "fl/timing.h"
 #include "fl/trace.h"
 #include "nn/models.h"
 #include "online/controller.h"
@@ -111,19 +111,18 @@ struct SimulationConfig {
 
   /// Money term of the round cost (paper Sections I/VI: the controller can
   /// minimise any additive resource, not only time). Each transmitted value
-  /// costs money_per_value, weighted by weight_money; the defaults leave the
-  /// paper's pure training-time objective. See round_cost().
+  /// costs money_per_value, in units of simulated time; the default 0 leaves
+  /// the paper's pure training-time objective. See round_cost().
   double money_per_value = 0.0;
-  double weight_money = 0.0;
 
-  /// Heterogeneous network & device model (fl/network.h): per-client
-  /// uplink/downlink/compute profiles, per-round rate jitter, and Markov
-  /// on/off availability. A trivial config (the default) reproduces the
-  /// homogeneous TimingModel path bit-for-bit; a non-trivial one routes
-  /// round timing through the straggler formula
-  /// τ_m = max_i(compute_i + uplink_i(2·|J_i|)) + downlink(broadcast) and
-  /// lets offline clients skip server rounds while they keep accumulating
-  /// local gradients. Use apply_scenario() for the named presets.
+  /// Network & device model (fl/network.h): per-client uplink/downlink/
+  /// compute profiles, per-round rate jitter, and Markov on/off
+  /// availability. Round time is the straggler formula
+  /// τ_m = max_i compute_i + β·(v_i/up_i + d/down_min)/(2D), which the
+  /// default config (every client on the nominal link, always on) reduces
+  /// to the paper's compute + β·(v + d)/(2D). Offline clients skip server
+  /// rounds while they keep accumulating local gradients. Use
+  /// apply_scenario() for the named presets.
   NetworkConfig network;
 
   /// Partial participation (paper future work): fraction of clients sampled
@@ -168,7 +167,7 @@ struct SimulationConfig {
   std::uint64_t seed = 1;
 
   /// The cost the controller minimises for one round that took `time` and
-  /// moved the given fleet payload totals: time + weight_money · money.
+  /// moved the given fleet payload totals: time + money_per_value · values.
   /// Time maxes over parallel links, but money sums over every device, so
   /// the caller passes fleet totals, not one client's payloads.
   double round_cost(double time, double uplink_values, double downlink_values) const;
@@ -195,7 +194,7 @@ struct RoundRecord {
   double uplink_values = 0.0;
   double downlink_values = 0.0;
   std::size_t participants = 0;      // clients in the server round (0: all offline)
-  std::int64_t slowest_client = -1;  // straggler that bound τ_m (-1: homogeneous/idle)
+  std::int64_t slowest_client = -1;  // client that bound τ_m (-1: idle round or all tied)
   double mean_staleness = 0.0;       // mean flush staleness (0 under the barrier)
   std::size_t max_staleness = 0;     // longest wait folded by this flush
   std::size_t buffered_stale = 0;    // uploads still deferred after this round

@@ -42,7 +42,7 @@ class Conv2d final : public Layer {
   // Batched im2col cache (batch x ckk*spatial): a grad-enabled forward
   // lowers every sample once and backward reads the same columns instead of
   // re-running the im2col scatter per sample — the classic memory-for-time
-  // trade. Also replaces the former full input-batch copy (x_cache_).
+  // trade. The cache is the only copy of the input batch backward needs.
   // Inference-only forwards (grad_enabled_ false) reuse row 0 as a
   // single-sample scratch so evaluation batches never materialize the cache.
   Matrix cols_cache_;

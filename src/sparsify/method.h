@@ -90,9 +90,9 @@ struct RoundOutcome {
   std::vector<float> dense;            // kDenseUpdate / kWeightAverage payloads
 
   /// Which accumulated entries each participant consumed (Line 17, Alg. 1).
-  /// Three encodings replace the former per-client vector-of-vectors — two
-  /// flat arrays cost two allocations per round instead of n, and the uniform
-  /// encodings avoid materializing n identical lists at all:
+  /// Three encodings, none a per-client vector-of-vectors — two flat arrays
+  /// cost two allocations per round instead of n, and the uniform encodings
+  /// avoid materializing n identical lists at all:
   ///  * kPerClient — CSR: client slot s resets
   ///    reset_indices[reset_offsets[s] .. reset_offsets[s+1]) (top-k methods);
   ///  * kUniform   — every participant resets `uniform_reset` (periodic-k);
@@ -114,9 +114,9 @@ struct RoundOutcome {
   std::vector<std::size_t> contributed;
 
   /// Payload sizes in "values" for the timing model. Uplink is per client:
-  /// clients transmit in parallel, so under the homogeneous TimingModel a
-  /// synchronous round waits on the largest per-client payload, and the top-k
-  /// methods charge 2 · max_i |J_i| — the *actual* biggest upload (an
+  /// clients transmit in parallel, so on identical links a synchronous round
+  /// waits on the largest per-client payload, and the top-k methods charge
+  /// 2 · max_i |J_i| — the *actual* biggest upload (an
   /// index/value pair counts as 2 values), which can be below 2k when a
   /// client had fewer than k entries to send. Downlink is the broadcast
   /// payload. Keeping these honest matters: the online controller optimizes
@@ -125,8 +125,8 @@ struct RoundOutcome {
   double downlink_values = 0.0;
 
   /// Per-participant uplink payloads in values, slot-aligned with the
-  /// RoundInput. The heterogeneous fl::NetworkModel needs the full
-  /// distribution (τ_m maxes compute_i + uplink_i(2·|J_i|) over clients, so
+  /// RoundInput. fl::NetworkModel needs the full distribution
+  /// (τ_m maxes compute_i + uplink_i(2·|J_i|) over clients, so
   /// a small payload on a slow link can still bind the round) and the
   /// per-client traffic metrics account realized bytes from it. Empty means
   /// "uniform": every participant transmitted `uplink_values`.

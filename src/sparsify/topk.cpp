@@ -388,43 +388,4 @@ SparseVector top_k_entries(std::span<const float> v, std::size_t k) {
   return out;
 }
 
-SparseVector top_k_entries_heap(std::span<const float> v, std::size_t k) {
-  struct HeapItem {
-    float abs_value;
-    std::int32_t index;
-  };
-  // Min-heap ordering on (abs_value asc, index desc) so the weakest element —
-  // the one a stronger candidate should evict — sits at the top.
-  const auto stronger = [](const HeapItem& a, const HeapItem& b) {
-    if (a.abs_value != b.abs_value) return a.abs_value > b.abs_value;
-    return a.index < b.index;
-  };
-  k = std::min(k, v.size());
-  std::vector<HeapItem> heap;
-  SparseVector out;
-  if (k == 0) return out;
-  heap.reserve(k);
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    const float av = std::fabs(v[i]);
-    const HeapItem item{av, static_cast<std::int32_t>(i)};
-    if (heap.size() < k) {
-      heap.push_back(item);
-      std::push_heap(heap.begin(), heap.end(), stronger);
-    } else if (stronger(item, heap.front())) {
-      std::pop_heap(heap.begin(), heap.end(), stronger);
-      heap.back() = item;
-      std::push_heap(heap.begin(), heap.end(), stronger);
-    }
-  }
-  std::sort(heap.begin(), heap.end(), [&](const HeapItem& a, const HeapItem& b) {
-    if (a.abs_value != b.abs_value) return a.abs_value > b.abs_value;
-    return a.index < b.index;
-  });
-  out.resize(heap.size());
-  for (std::size_t i = 0; i < heap.size(); ++i) {
-    out[i] = SparseEntry{heap[i].index, v[static_cast<std::size_t>(heap[i].index)]};
-  }
-  return out;
-}
-
 }  // namespace fedsparse::sparsify

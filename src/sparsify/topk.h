@@ -163,11 +163,6 @@ void top_k_uploads(const std::vector<std::span<const float>>& vecs,
 std::vector<std::int32_t> top_k_indices(std::span<const float> v, std::size_t k);
 SparseVector top_k_entries(std::span<const float> v, std::size_t k);
 
-/// Seed implementation: bounded min-heap, O(D log k). Retained as the
-/// reference for equivalence tests and as the "before" side of the
-/// BENCH_micro.json kernel comparison.
-SparseVector top_k_entries_heap(std::span<const float> v, std::size_t k);
-
 /// Sorts keys descending (LSD radix above ~512 elements, std::sort below).
 /// Keys are assumed unique; `scratch` is the radix ping-pong buffer.
 /// Exported for the sharded engine's per-shard candidate runs.

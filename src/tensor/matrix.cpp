@@ -513,24 +513,6 @@ util::ThreadPool* parallel_pool() noexcept {
   return g_parallel_pool.load(std::memory_order_acquire);
 }
 
-namespace detail {
-
-void gemm_nn_reference(const Matrix& a, const Matrix& b, float alpha, Matrix& c) {
-  const std::size_t m = a.rows(), k = a.cols(), n = b.cols();
-  for (std::size_t mi = 0; mi < m; ++mi) {
-    const float* arow = a.row(mi);
-    float* crow = c.row(mi);
-    for (std::size_t ki = 0; ki < k; ++ki) {
-      const float aik = alpha * arow[ki];
-      if (aik == 0.0f) continue;
-      const float* brow = b.row(ki);
-      for (std::size_t ni = 0; ni < n; ++ni) crow[ni] += aik * brow[ni];
-    }
-  }
-}
-
-}  // namespace detail
-
 void gemm(const Matrix& a, bool trans_a, const Matrix& b, bool trans_b, float alpha, float beta,
           Matrix& c) {
   const std::size_t m = trans_a ? a.cols() : a.rows();

@@ -161,12 +161,6 @@ void gemm_tn(ConstMatrixView a, ConstMatrixView b, float alpha, MatrixView c);
 void set_parallel_pool(util::ThreadPool* pool) noexcept;
 util::ThreadPool* parallel_pool() noexcept;
 
-namespace detail {
-/// Seed scalar kernel (C += alpha * A * B, unblocked triple loop). Retained
-/// as the "before" reference for equivalence tests and BENCH_micro.json.
-void gemm_nn_reference(const Matrix& a, const Matrix& b, float alpha, Matrix& c);
-}  // namespace detail
-
 // --- BLAS-1 style helpers on flat spans ------------------------------------
 
 /// y += alpha * x

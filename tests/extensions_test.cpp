@@ -44,8 +44,7 @@ TEST(ResourceModel, MoneyDominatedCostPushesAdaptiveKDown) {
     scfg.comm_time = 0.01;  // time cost of communication ~ none
     scfg.eval_every = 30;
     scfg.threads = 2;
-    scfg.money_per_value = 0.01;
-    scfg.weight_money = money_weight;
+    scfg.money_per_value = 0.01 * money_weight;
     auto controller = std::make_unique<online::ExtendedSignOgd>(online::ExtendedSignOgd::Config{
         2.0, static_cast<double>(dim), 0.0, 1.5, 10});
     fl::Simulation sim(scfg, data::make_synthetic(dcfg), factory,

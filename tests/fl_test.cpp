@@ -13,8 +13,8 @@
 #include "data/synthetic.h"
 #include "fl/client.h"
 #include "fl/metrics.h"
+#include "fl/network.h"
 #include "fl/simulation.h"
-#include "fl/timing.h"
 #include "nn/models.h"
 #include "online/extended_sign_ogd.h"
 #include "online/factory.h"
@@ -143,66 +143,82 @@ std::unique_ptr<Simulation> make_sim(const std::string& method, double fixed_k,
 }
 
 // ------------------------------------------------------------ timing -------
+//
+// The paper's Section V timing model is NetworkModel over default profiles:
+// compute 1 per round, β for a full D-value exchange.
+
+NetworkModel paper_timing(double beta, std::size_t dim, std::size_t clients = 1) {
+  return NetworkModel(beta, /*compute_time=*/1.0, dim, NetworkConfig{}, clients, /*seed=*/1);
+}
+
+// Every client of a paper_timing model uploads `up` values; broadcast `down`.
+double paper_round(const NetworkModel& t, double up, double down) {
+  std::vector<std::size_t> ids(t.num_clients());
+  for (std::size_t i = 0; i < ids.size(); ++i) ids[i] = i;
+  const std::vector<double> uplinks(ids.size(), up);
+  return t.round_time(ids, uplinks, down).time;
+}
+
+const std::vector<std::size_t> kOneClient = {0};
 
 TEST(TimingModel, SendAllCostsExactlyBeta) {
-  TimingModel t{/*comm_time=*/10.0, /*compute_time=*/1.0, /*dim=*/1000};
-  EXPECT_DOUBLE_EQ(t.round_time(1000, 1000), 1.0 + 10.0);
+  const auto t = paper_timing(/*beta=*/10.0, /*dim=*/1000, /*clients=*/3);
+  EXPECT_EQ(paper_round(t, 1000, 1000), 1.0 + 10.0);
 }
 
 TEST(TimingModel, TopKCostMatchesFormula) {
-  TimingModel t{10.0, 1.0, 1000};
+  const auto t = paper_timing(10.0, 1000, 3);
+  const std::vector<std::size_t> ids = {0, 1, 2};
   // k-element GS: 2k values each way => 1 + β·2k/D.
-  EXPECT_DOUBLE_EQ(t.theta(50.0), 1.0 + 10.0 * 2.0 * 50.0 / 1000.0);
+  EXPECT_EQ(t.theta(50.0, ids), 1.0 + 10.0 * 2.0 * 50.0 / 1000.0);
+  EXPECT_EQ(t.theta(50.0, {}), t.theta(50.0, ids));  // no participants: nominal θ
 }
 
 TEST(TimingModel, FedAvgMatchedBudgetConsistency) {
   // Average FedAvg cost per round equals the k-element GS cost per round.
   const std::size_t dim = 10000;
   const std::size_t k = 100;
-  TimingModel t{7.0, 1.0, dim};
-  const double gs_per_round = t.theta(k) - t.compute_time;
+  const auto t = paper_timing(7.0, dim);
+  const double gs_per_round = t.theta(k, kOneClient) - 1.0;
   const std::size_t period = dim / (2 * k);
-  const double fedavg_per_round =
-      (t.round_time(dim, dim) - t.compute_time) / static_cast<double>(period);
+  const double fedavg_per_round = (paper_round(t, dim, dim) - 1.0) / static_cast<double>(period);
   EXPECT_NEAR(gs_per_round, fedavg_per_round, 1e-9);
 }
 
 TEST(TimingModel, ThetaIsMonotoneInK) {
-  TimingModel t{3.0, 1.0, 500};
-  EXPECT_LT(t.theta(10), t.theta(20));
-  EXPECT_THROW((TimingModel{1.0, 1.0, 0}).round_time(1, 1), std::invalid_argument);
+  const auto t = paper_timing(3.0, 500);
+  EXPECT_LT(t.theta(10, kOneClient), t.theta(20, kOneClient));
+  EXPECT_THROW(NetworkModel(1.0, 1.0, /*dim=*/0, NetworkConfig{}, 1, 1), std::invalid_argument);
 }
 
 // -------------------------------------------------------- round cost -------
 
 TEST(ResourceModel, DefaultsReduceToPureTime) {
   const SimulationConfig cfg;
-  const TimingModel t{10.0, 1.0, 1000};
-  EXPECT_EQ(cfg.round_cost(t.round_time(100.0, 100.0), 100.0, 100.0),
-            t.round_time(100.0, 100.0));
-  EXPECT_EQ(cfg.round_cost(t.theta(50.0), 100.0, 100.0), t.theta(50.0));
+  const auto t = paper_timing(10.0, 1000);
+  EXPECT_EQ(cfg.round_cost(paper_round(t, 100.0, 100.0), 100.0, 100.0),
+            paper_round(t, 100.0, 100.0));
+  EXPECT_EQ(cfg.round_cost(t.theta(50.0, kOneClient), 100.0, 100.0), t.theta(50.0, kOneClient));
 }
 
 TEST(ResourceModel, CompositeCostSumsWeightedResources) {
   SimulationConfig cfg;
-  cfg.money_per_value = 0.05;
-  cfg.weight_money = 7.0;
-  const TimingModel t{10.0, 1.0, 1000};
+  cfg.money_per_value = 0.35;
+  const auto t = paper_timing(10.0, 1000);
   const double up = 40.0, down = 60.0;
-  const double time = t.round_time(up, down);
-  EXPECT_DOUBLE_EQ(cfg.round_cost(time, up, down), time + 7.0 * 0.05 * (up + down));
+  const double time = paper_round(t, up, down);
+  EXPECT_EQ(cfg.round_cost(time, up, down), time + 0.35 * (up + down));
 }
 
 TEST(ResourceModel, ThetaCostIsMonotoneInK) {
   // θ-cost of a k-element round (2k values each way). With β = 0 the time
   // is flat in k, so only the money term can make it grow.
   SimulationConfig cfg;
-  cfg.money_per_value = 0.01;
-  cfg.weight_money = 2.0;
-  const TimingModel free_links{0.0, 1.0, 2000};
-  double prev = cfg.round_cost(free_links.theta(1.0), 2.0, 2.0);
+  cfg.money_per_value = 0.02;
+  const auto free_links = paper_timing(0.0, 2000);
+  double prev = cfg.round_cost(free_links.theta(1.0, kOneClient), 2.0, 2.0);
   for (double k = 10.0; k <= 1000.0; k *= 2.0) {
-    const double cur = cfg.round_cost(free_links.theta(k), 2.0 * k, 2.0 * k);
+    const double cur = cfg.round_cost(free_links.theta(k, kOneClient), 2.0 * k, 2.0 * k);
     EXPECT_GT(cur, prev) << "theta cost not increasing at k=" << k;
     prev = cur;
   }
@@ -322,9 +338,9 @@ TEST(Simulation, TimeAccountingMatchesTimingModel) {
   const auto res = sim->run();
   ASSERT_EQ(res.records.size(), 5u);
   double expected = 0.0;
-  TimingModel t{10.0, 1.0, sim->dim()};
+  const auto t = paper_timing(10.0, sim->dim());
   for (const auto& r : res.records) {
-    expected += t.round_time(r.uplink_values, r.downlink_values);
+    expected += paper_round(t, r.uplink_values, r.downlink_values);
     EXPECT_NEAR(r.time, expected, 1e-9);
   }
 }
@@ -489,6 +505,58 @@ TEST(SimulationConfigValidation, RejectsNanAsyncSettings) {
   bad.async.staleness_lambda = 0.25;
   bad.async.trigger_scale = std::numeric_limits<double>::quiet_NaN();
   expect_rejected(bad);
+}
+
+TEST(SimulationConfigValidation, RejectsBadMoneyPerValue) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double v : {nan, inf, -0.5}) {
+    SimulationConfig bad = fast_sim();
+    bad.money_per_value = v;
+    EXPECT_THROW(bad.validate(), std::invalid_argument) << v;
+  }
+  SimulationConfig bad = fast_sim();
+  bad.money_per_value = nan;
+  expect_rejected(bad);  // before the Simulation builds anything
+}
+
+TEST(SimulationConfigValidation, RejectsNanOrNonPositiveMaxTime) {
+  for (const double t : {std::numeric_limits<double>::quiet_NaN(), 0.0, -3.0}) {
+    SimulationConfig bad = fast_sim();
+    bad.max_time = t;
+    EXPECT_THROW(bad.validate(), std::invalid_argument) << t;
+  }
+  SimulationConfig unbounded = fast_sim();
+  unbounded.max_time = std::numeric_limits<double>::infinity();  // the default
+  EXPECT_NO_THROW(unbounded.validate());
+}
+
+TEST(SimulationConfigValidation, RejectsNanOrNegativeStopAndSwitchLosses) {
+  for (const double v : {std::numeric_limits<double>::quiet_NaN(), -0.1}) {
+    SimulationConfig bad = fast_sim();
+    bad.target_loss = v;
+    EXPECT_THROW(bad.validate(), std::invalid_argument) << "target_loss " << v;
+    bad = fast_sim();
+    bad.switch_at_loss = v;
+    bad.switch_to_k = 10.0;
+    EXPECT_THROW(bad.validate(), std::invalid_argument) << "switch_at_loss " << v;
+  }
+}
+
+TEST(SimulationConfigValidation, RejectsBadSwitchToKOnlyWhenSwitching) {
+  for (const double k : {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity(), 0.0, 0.5}) {
+    SimulationConfig bad = fast_sim();
+    bad.switch_at_loss = 1.0;
+    bad.switch_to_k = k;
+    EXPECT_THROW(bad.validate(), std::invalid_argument) << k;
+    bad.switch_at_loss = 0.0;  // no switch: switch_to_k is never read
+    EXPECT_NO_THROW(bad.validate()) << k;
+  }
+  SimulationConfig ok = fast_sim();
+  ok.switch_at_loss = 1.0;
+  ok.switch_to_k = 1.0;
+  EXPECT_NO_THROW(ok.validate());
 }
 
 TEST(SimulationConfigValidation, MessageNamesTheSetting) {

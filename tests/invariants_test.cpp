@@ -11,6 +11,7 @@
 #include <set>
 
 #include "data/synthetic.h"
+#include "fl/network.h"
 #include "fl/simulation.h"
 #include "nn/models.h"
 #include "online/extended_sign_ogd.h"
@@ -296,7 +297,8 @@ TEST(SignLoopBehaviour, CommHeavyFeedbackWalksKDown) {
   // by communication, loss decrease nearly independent of k. The controller
   // must ratchet k downward.
   online::SignOgd ogd(online::SignOgd::Config{2.0, 1002.0, 800.0});
-  fl::TimingModel t{100.0, 1.0, 1000};
+  const fl::NetworkModel t(100.0, 1.0, 1000, fl::NetworkConfig{}, 1, 1);
+  const std::size_t ids[] = {0};
   for (int m = 0; m < 60; ++m) {
     const double k = ogd.current_k();
     const double kp = ogd.probe_k();
@@ -305,8 +307,8 @@ TEST(SignLoopBehaviour, CommHeavyFeedbackWalksKDown) {
     fb.loss_cur = 1.9;    // k-round decreases loss by 0.1
     fb.loss_probe = 1.905;  // k'-round nearly as good
     fb.probe_available = true;
-    fb.round_time = t.theta(k);
-    fb.theta_probe = t.theta(kp);
+    fb.round_time = t.theta(k, ids);
+    fb.theta_probe = t.theta(kp, ids);
     ogd.observe(fb);
   }
   EXPECT_LT(ogd.current_k(), 100.0);
@@ -316,7 +318,8 @@ TEST(SignLoopBehaviour, ComputeHeavyFeedbackKeepsKHigh) {
   // Now the k'-probe barely decreases the loss (sparse gradients hurt) while
   // communication is almost free: k must stay high.
   online::SignOgd ogd(online::SignOgd::Config{2.0, 1002.0, 500.0});
-  fl::TimingModel t{0.01, 1.0, 1000};
+  const fl::NetworkModel t(0.01, 1.0, 1000, fl::NetworkConfig{}, 1, 1);
+  const std::size_t ids[] = {0};
   for (int m = 0; m < 60; ++m) {
     const double k = ogd.current_k();
     const double kp = ogd.probe_k();
@@ -325,8 +328,8 @@ TEST(SignLoopBehaviour, ComputeHeavyFeedbackKeepsKHigh) {
     fb.loss_cur = 1.9;
     fb.loss_probe = 1.99;  // probe round achieves almost nothing
     fb.probe_available = true;
-    fb.round_time = t.theta(k);
-    fb.theta_probe = t.theta(kp);
+    fb.round_time = t.theta(k, ids);
+    fb.theta_probe = t.theta(kp, ids);
     ogd.observe(fb);
   }
   EXPECT_GT(ogd.current_k(), 500.0);

@@ -1,8 +1,8 @@
-// Heterogeneous network & device subsystem tests: the NetworkModel straggler
-// formula, fluctuation models (log-normal jitter, Markov availability), the
-// scenario registry, and — most load-bearing — the equivalence suite pinning
-// that an all-uniform, always-available network reproduces the homogeneous
-// TimingModel simulation byte-for-byte.
+// Network & device model tests: the NetworkModel straggler formula (and its
+// reduction to the paper's Section V model over default profiles), fluctuation
+// models (log-normal jitter, Markov availability), the scenario registry, and
+// the equivalence suite pinning that explicit all-default profiles reproduce
+// the empty-profile simulation byte-for-byte.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -16,53 +16,87 @@
 #include "online/extended_sign_ogd.h"
 #include "sparsify/fab_topk.h"
 #include "sparsify/method.h"
+#include "util/rng.h"
 
 namespace fedsparse::fl {
 namespace {
 
 // ------------------------------------------------------------ model units --
 
-TEST(NetworkConfig, TrivialDetection) {
-  NetworkConfig cfg;
-  EXPECT_TRUE(cfg.trivial());
-  cfg.profiles.assign(3, ClientProfile{});
-  EXPECT_TRUE(cfg.trivial());  // explicit defaults are still the paper model
-  cfg.profiles[1].uplink_rate = 0.5;
-  EXPECT_FALSE(cfg.trivial());
-  cfg.profiles[1] = ClientProfile{};
-  cfg.rate_jitter_sigma = 0.1;
-  EXPECT_FALSE(cfg.trivial());
-  cfg.rate_jitter_sigma = 0.0;
-  cfg.p_drop = 0.01;
-  EXPECT_FALSE(cfg.trivial());
-}
-
 TEST(NetworkModel, HomogeneousRoundTimeIsBitwiseTimingModel) {
-  const TimingModel nominal{10.0, 1.0, 1000};
-  NetworkModel model(nominal, NetworkConfig{}, 4, 1);
-  EXPECT_FALSE(model.heterogeneous());
+  // Default profiles divide by rate 1.0, which is exact: τ is the paper's
+  // compute + β·(max_i v_i + d)/(2D) bit for bit, and θ(k) = 1 + 2βk/D.
+  NetworkModel model(10.0, 1.0, 1000, NetworkConfig{}, 4, 1);
   const std::vector<std::size_t> ids = {0, 1, 2, 3};
   const std::vector<double> uplinks = {10.0, 40.0, 20.0, 30.0};
   model.begin_round(1);
-  const auto rt = model.round_time(ids, uplinks, 40.0, 40.0);
-  EXPECT_EQ(rt.time, nominal.round_time(40.0, 40.0));  // same bits, same expression
-  EXPECT_EQ(rt.slowest_client, -1);  // identical clients: no straggler to name
-  EXPECT_EQ(model.theta(50.0, ids), nominal.theta(50.0));
+  const auto rt = model.round_time(ids, uplinks, 40.0);
+  EXPECT_EQ(rt.time, 1.0 + 10.0 * (40.0 + 40.0) / 2000.0);
+  EXPECT_EQ(rt.slowest_client, 1);  // the largest payload bound the round
+  EXPECT_EQ(model.theta(50.0, ids), 1.0 + 10.0 * (100.0 + 100.0) / 2000.0);
+}
+
+TEST(NetworkModel, UniformProfilesNameTheBindingClientOnlyWhenOneBinds) {
+  NetworkModel model(10.0, 1.0, 1000, NetworkConfig{}, 3, 1);
+  const std::vector<std::size_t> ids = {0, 1, 2};
+  // Equal payloads on identical links tie: nobody straggled.
+  const std::vector<double> equal = {40.0, 40.0, 40.0};
+  EXPECT_EQ(model.round_time(ids, equal, 40.0).slowest_client, -1);
+  // Unequal payloads: the largest upload finished last.
+  const std::vector<double> unequal = {40.0, 20.0, 60.0};
+  EXPECT_EQ(model.round_time(ids, unequal, 40.0).slowest_client, 2);
+  // A tie within the slowest group names its lowest slot.
+  const std::vector<double> top_tie = {20.0, 60.0, 60.0};
+  EXPECT_EQ(model.round_time(ids, top_tie, 40.0).slowest_client, 1);
+  // A lone participant bound its own round.
+  const std::vector<std::size_t> lone = {2};
+  EXPECT_EQ(model.round_time(lone, {equal.data(), 1}, 40.0).slowest_client, 2);
+}
+
+TEST(NetworkModel, ThetaAndArrivalsAreTheRoundFormula) {
+  // θ(k, ids) is round_time with every upload and the broadcast at 2k, and
+  // an arrival is the formula for one client with no broadcast — bitwise,
+  // on random heterogeneous, jittered profiles.
+  const std::size_t n = 16;
+  util::Rng rng(11);
+  NetworkConfig cfg;
+  cfg.profiles.resize(n);
+  for (auto& p : cfg.profiles) {
+    p.uplink_rate = 0.5 * std::exp(rng.normal(0.0, 0.8));
+    p.downlink_rate = 0.7 * std::exp(rng.normal(0.0, 0.5));
+    p.compute_multiplier = std::exp(rng.normal(0.0, 0.4));
+  }
+  cfg.rate_jitter_sigma = 0.3;
+  NetworkModel model(7.0, 1.0, 4420, cfg, n, 5);
+  for (std::size_t m = 1; m <= 20; ++m) {
+    model.begin_round(m);
+    std::vector<std::size_t> ids;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (rng.bernoulli(0.5)) ids.push_back(i);
+    }
+    if (ids.empty()) ids.push_back(m % n);
+    const double k = 1.0 + 500.0 * rng.uniform();
+    const std::vector<double> two_k(ids.size(), 2.0 * k);
+    EXPECT_EQ(model.theta(k, ids), model.round_time(ids, two_k, 2.0 * k).time) << "round " << m;
+    for (const std::size_t i : ids) {
+      const std::size_t one[] = {i};
+      const double up[] = {2.0 * k};
+      EXPECT_EQ(model.arrival_time(i, 2.0 * k), model.round_time(one, up, 0.0).time);
+    }
+  }
 }
 
 TEST(NetworkModel, StragglerFormulaMaxesComputePlusOwnUplink) {
   // Client 1 has a tiny payload on a 10x-slower link; client 0 a big payload
   // on a nominal link. The slow link must bind the round even with the
   // smaller payload — the homogeneous max-payload shortcut gets this wrong.
-  const TimingModel nominal{10.0, 1.0, 1000};
   NetworkConfig cfg;
   cfg.profiles = {ClientProfile{1.0, 1.0, 1.0}, ClientProfile{0.1, 0.5, 2.0}};
-  NetworkModel model(nominal, cfg, 2, 1);
-  EXPECT_TRUE(model.heterogeneous());
+  NetworkModel model(10.0, 1.0, 1000, cfg, 2, 1);
   model.begin_round(1);
   const std::vector<std::size_t> ids = {0, 1};
   const std::vector<double> uplinks = {100.0, 20.0};
-  const auto rt = model.round_time(ids, uplinks, 100.0, 60.0);
+  const auto rt = model.round_time(ids, uplinks, 60.0);
   const double t0 = 1.0 + 10.0 * 100.0 / 2000.0;              // compute + own uplink
   const double t1 = 2.0 + (10.0 * 20.0 / 2000.0) / 0.1;       // straggler
   const double down = (10.0 * 60.0 / 2000.0) / 0.5;           // slowest downlink
@@ -76,13 +110,13 @@ TEST(NetworkModel, StragglerFormulaMaxesComputePlusOwnUplink) {
   EXPECT_LT(model.theta(10.0, ids), model.theta(20.0, ids));  // monotone in k
   // Dropping the straggler from the participant set drops its terms.
   const std::vector<std::size_t> fast_only = {0};
-  const auto rt_fast = model.round_time(fast_only, {uplinks.data(), 1}, 100.0, 60.0);
+  const auto rt_fast = model.round_time(fast_only, {uplinks.data(), 1}, 60.0);
   EXPECT_DOUBLE_EQ(rt_fast.time, t0 + 10.0 * 60.0 / 2000.0);
 }
 
 TEST(NetworkModel, EmptyParticipantsCostOneIdleComputeRound) {
-  NetworkModel model(TimingModel{10.0, 1.0, 1000}, NetworkConfig{}, 3, 1);
-  const auto rt = model.round_time({}, {}, 0.0, 0.0);
+  NetworkModel model(10.0, 1.0, 1000, NetworkConfig{}, 3, 1);
+  const auto rt = model.round_time({}, {}, 0.0);
   EXPECT_DOUBLE_EQ(rt.time, 1.0);
   EXPECT_EQ(rt.slowest_client, -1);
 }
@@ -91,8 +125,8 @@ TEST(NetworkModel, JitterIsReproducibleAndPositive) {
   NetworkConfig cfg;
   cfg.profiles.assign(4, ClientProfile{0.5, 0.8, 1.0});
   cfg.rate_jitter_sigma = 0.4;
-  NetworkModel a(TimingModel{10.0, 1.0, 1000}, cfg, 4, 42);
-  NetworkModel b(TimingModel{10.0, 1.0, 1000}, cfg, 4, 42);
+  NetworkModel a(10.0, 1.0, 1000, cfg, 4, 42);
+  NetworkModel b(10.0, 1.0, 1000, cfg, 4, 42);
   bool moved = false;
   double prev = 0.0;
   for (std::size_t m = 1; m <= 10; ++m) {
@@ -115,7 +149,7 @@ TEST(NetworkModel, MarkovChainAlternatesAtExtremeProbabilities) {
   NetworkConfig cfg;
   cfg.p_drop = 1.0;
   cfg.p_recover = 1.0;
-  NetworkModel model(TimingModel{10.0, 1.0, 1000}, cfg, 8, 3);
+  NetworkModel model(10.0, 1.0, 1000, cfg, 8, 3);
   std::vector<bool> prev(8);
   model.begin_round(1);
   for (std::size_t i = 0; i < 8; ++i) prev[i] = model.available(i);
@@ -132,7 +166,7 @@ TEST(NetworkModel, ChurnVisitsBothStates) {
   NetworkConfig cfg;
   cfg.p_drop = 0.3;
   cfg.p_recover = 0.5;
-  NetworkModel model(TimingModel{10.0, 1.0, 1000}, cfg, 6, 7);
+  NetworkModel model(10.0, 1.0, 1000, cfg, 6, 7);
   std::size_t on_rounds = 0, off_rounds = 0;
   for (std::size_t m = 1; m <= 50; ++m) {
     model.begin_round(m);
@@ -143,24 +177,27 @@ TEST(NetworkModel, ChurnVisitsBothStates) {
 }
 
 TEST(NetworkModel, ValidatesConfiguration) {
-  const TimingModel t{10.0, 1.0, 1000};
+  const auto make = [](NetworkConfig cfg, std::size_t n) {
+    return NetworkModel(10.0, 1.0, 1000, std::move(cfg), n, 1);
+  };
   NetworkConfig wrong_count;
   wrong_count.profiles.assign(3, ClientProfile{});
-  EXPECT_THROW(NetworkModel(t, wrong_count, 4, 1), std::invalid_argument);
+  EXPECT_THROW(make(wrong_count, 4), std::invalid_argument);
   NetworkConfig bad_rate;
   bad_rate.profiles.assign(2, ClientProfile{});
   bad_rate.profiles[0].uplink_rate = 0.0;
-  EXPECT_THROW(NetworkModel(t, bad_rate, 2, 1), std::invalid_argument);
+  EXPECT_THROW(make(bad_rate, 2), std::invalid_argument);
   NetworkConfig bad_prob;
   bad_prob.p_drop = 1.5;
-  EXPECT_THROW(NetworkModel(t, bad_prob, 2, 1), std::invalid_argument);
+  EXPECT_THROW(make(bad_prob, 2), std::invalid_argument);
   NetworkConfig stranded;
   stranded.p_drop = 0.5;
   stranded.p_recover = 0.0;
-  EXPECT_THROW(NetworkModel(t, stranded, 2, 1), std::invalid_argument);
+  EXPECT_THROW(make(stranded, 2), std::invalid_argument);
   NetworkConfig bad_sigma;
   bad_sigma.rate_jitter_sigma = -0.1;
-  EXPECT_THROW(NetworkModel(t, bad_sigma, 2, 1), std::invalid_argument);
+  EXPECT_THROW(make(bad_sigma, 2), std::invalid_argument);
+  EXPECT_THROW(NetworkModel(10.0, 1.0, /*dim=*/0, NetworkConfig{}, 2, 1), std::invalid_argument);
 }
 
 // ------------------------------------------------------- scenario registry --
@@ -174,18 +211,16 @@ TEST(Scenarios, RegistryBuildsEveryPreset) {
     EXPECT_FALSE(s.description.empty());
     if (!s.network.profiles.empty()) EXPECT_EQ(s.network.profiles.size(), 12u);
     // Every preset must be consumable by a NetworkModel.
-    NetworkModel model(TimingModel{10.0, 1.0, 1000}, s.network, 12, 5);
+    NetworkModel model(10.0, 1.0, 1000, s.network, 12, 5);
     (void)model;
   }
   EXPECT_THROW(make_scenario("no_such_scenario", 4), std::invalid_argument);
 }
 
 TEST(Scenarios, UniformIsTrivialAndBimodalIsNot) {
-  EXPECT_TRUE(make_scenario("uniform", 8).network.trivial());
   const Scenario bimodal = make_scenario("bimodal", 8, 3);
-  EXPECT_FALSE(bimodal.network.trivial());
   std::size_t slow = 0, fast = 0;
-  for (const auto& p : bimodal.network.profiles) (p.is_default() ? fast : slow)++;
+  for (const auto& p : bimodal.network.profiles) (p.uplink_rate == 1.0 ? fast : slow)++;
   EXPECT_EQ(slow, 2u);  // n/4 stragglers
   EXPECT_EQ(fast, 6u);
   // Same (name, n, seed) => same placement; different seed => may differ.
@@ -195,7 +230,6 @@ TEST(Scenarios, UniformIsTrivialAndBimodalIsNot) {
   }
   const Scenario wan = make_scenario("metered_wan", 8);
   EXPECT_GT(wan.money_per_value, 0.0);
-  EXPECT_GT(wan.weight_money, 0.0);
   const Scenario mobile = make_scenario("longtail_mobile", 8, 2);
   EXPECT_GT(mobile.network.rate_jitter_sigma, 0.0);
   EXPECT_GT(mobile.network.p_drop, 0.0);
@@ -236,14 +270,14 @@ TEST(FabTopK, EmitsPerClientUplinkDistribution) {
   sparsify::FabTopK method(dim);
   const auto out = method.round(in, 10);
   // Every client uploads exactly min(k, D) (index, value) pairs, and the
-  // slot-aligned list must agree with the legacy max accounting.
+  // slot-aligned list must agree with the max-payload accounting.
   ASSERT_EQ(out.client_uplink_values.size(), n);
   double max_up = 0.0;
   for (std::size_t s = 0; s < n; ++s) {
     EXPECT_DOUBLE_EQ(out.client_uplink(s), 20.0);  // 10 pairs = 20 values
     max_up = std::max(max_up, out.client_uplink_values[s]);
   }
-  EXPECT_DOUBLE_EQ(out.uplink_values, max_up);  // legacy accounting unchanged
+  EXPECT_DOUBLE_EQ(out.uplink_values, max_up);  // uplink_values is the largest upload
 }
 
 // ------------------------------------------------- simulation equivalence --
@@ -519,12 +553,11 @@ TEST(ApplyScenario, InstallsNetworkAndMoneyKnobs) {
   SimulationConfig cfg;
   apply_scenario(make_scenario("metered_wan", 6), cfg);
   EXPECT_EQ(cfg.network.profiles.size(), 6u);
-  EXPECT_GT(cfg.weight_money, 0.0);
   EXPECT_GT(cfg.money_per_value, 0.0);
   SimulationConfig uni;
   apply_scenario(make_scenario("uniform", 6), uni);
-  EXPECT_TRUE(uni.network.trivial());
-  EXPECT_EQ(uni.weight_money, 0.0);  // pure-time objective untouched
+  EXPECT_TRUE(uni.network.profiles.empty());
+  EXPECT_EQ(uni.money_per_value, 0.0);  // pure-time objective untouched
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <ostream>
 
 #include "data/synthetic.h"
+#include "fl/network.h"
 #include "fl/simulation.h"
 #include "nn/models.h"
 #include "online/controller.h"
@@ -127,9 +128,11 @@ TEST(ReplayExhaustion, SimulationOutlivesSequenceGracefully) {
 }
 
 TEST(TimingEdge, ZeroCommunicationTimeIsPureCompute) {
-  fl::TimingModel t{0.0, 1.0, 100};
-  EXPECT_DOUBLE_EQ(t.round_time(1000, 1000), 1.0);
-  EXPECT_DOUBLE_EQ(t.theta(50), 1.0);
+  const fl::NetworkModel t(0.0, 1.0, 100, fl::NetworkConfig{}, 1, 1);
+  const std::size_t ids[] = {0};
+  const double uplink[] = {1000.0};
+  EXPECT_EQ(t.round_time(ids, uplink, 1000.0).time, 1.0);
+  EXPECT_EQ(t.theta(50, ids), 1.0);
 }
 
 TEST(ControllerEdge, TinySearchInterval) {

@@ -11,6 +11,7 @@
 #include <string>
 #include <unordered_set>
 
+#include "reference_kernels.h"
 #include "sparsify/accumulator.h"
 #include "sparsify/fab_topk.h"
 #include "sparsify/fedavg.h"
@@ -100,7 +101,7 @@ TEST(TopK, QuickselectMatchesHeapAcrossSizes) {
                               std::size_t{100000}}) {
     const auto v = random_vector(d, rng);
     const std::span<const float> vs{v.data(), v.size()};
-    EXPECT_EQ(top_k_entries(vs, k), top_k_entries_heap(vs, k)) << "D=" << d;
+    EXPECT_EQ(top_k_entries(vs, k), reference::top_k_entries_heap(vs, k)) << "D=" << d;
   }
 }
 
@@ -115,7 +116,7 @@ TEST(TopK, QuickselectMatchesHeapUnderTies) {
     }
     const std::span<const float> vs{v.data(), v.size()};
     for (const std::size_t k : {std::size_t{1}, std::size_t{50}, d / 2, d, d + 5}) {
-      EXPECT_EQ(top_k_entries(vs, k), top_k_entries_heap(vs, k)) << "D=" << d << " k=" << k;
+      EXPECT_EQ(top_k_entries(vs, k), reference::top_k_entries_heap(vs, k)) << "D=" << d << " k=" << k;
     }
   }
 }
@@ -134,11 +135,11 @@ TEST(TopK, MostlyZeroVectorMatchesHeapReference) {
   }
   const std::span<const float> vs{v.data(), v.size()};
   for (const std::size_t k : {std::size_t{10}, d / 100, std::size_t{500}, d / 2}) {
-    EXPECT_EQ(top_k_entries(vs, k), top_k_entries_heap(vs, k)) << "k=" << k;
+    EXPECT_EQ(top_k_entries(vs, k), reference::top_k_entries_heap(vs, k)) << "k=" << k;
   }
   // All-zero vector: pure tie-break territory.
   std::fill(v.begin(), v.end(), 0.0f);
-  EXPECT_EQ(top_k_entries(vs, 64), top_k_entries_heap(vs, 64));
+  EXPECT_EQ(top_k_entries(vs, 64), reference::top_k_entries_heap(vs, 64));
 }
 
 // A persistent workspace carries the previous call's k-th magnitude as a
@@ -157,7 +158,7 @@ TEST(TopK, ThresholdHintStaysExactAcrossMutatingRounds) {
   for (std::size_t round = 0; round < 20; ++round) {
     const std::size_t k = ks[round % (sizeof(ks) / sizeof(ks[0]))];
     top_k_entries(vs, k, ws, got);
-    EXPECT_EQ(got, top_k_entries_heap(vs, k)) << "round " << round << " k=" << k;
+    EXPECT_EQ(got, reference::top_k_entries_heap(vs, k)) << "round " << round << " k=" << k;
     // FAB-style mutation: zero the selected entries, accumulate fresh noise.
     for (const auto& e : got) v[static_cast<std::size_t>(e.index)] = 0.0f;
     for (auto& x : v) x += 0.2f * static_cast<float>(rng.normal());
@@ -167,7 +168,7 @@ TEST(TopK, ThresholdHintStaysExactAcrossMutatingRounds) {
   v[7] = 3.0f;
   v[9000] = -2.0f;
   top_k_entries(vs, 128, ws, got);
-  EXPECT_EQ(got, top_k_entries_heap(vs, 128));
+  EXPECT_EQ(got, reference::top_k_entries_heap(vs, 128));
 }
 
 // Threshold hints are keyed by stable client id, not by participant slot: a
@@ -194,7 +195,7 @@ TEST(TopK, UploadsKeyWorkspacesByClientId) {
   std::vector<SparseVector> uploads2;
   const std::size_t ids_b[] = {7};
   top_k_uploads({{b.data(), d}}, {}, k, {ids_b, 1}, ws, hints, uploads2);
-  EXPECT_EQ(uploads2[0], top_k_entries_heap({b.data(), d}, k));
+  EXPECT_EQ(uploads2[0], reference::top_k_entries_heap({b.data(), d}, k));
   EXPECT_EQ(hints[2].threshold, hint_a);  // absent client's hint untouched
 }
 
@@ -222,7 +223,7 @@ TEST(TopK, PooledUploadsMatchSerial) {
     ASSERT_EQ(serial.size(), pooled.size());
     for (std::size_t i = 0; i < n; ++i) {
       EXPECT_EQ(serial[i], pooled[i]) << "round " << round << " client " << i;
-      EXPECT_EQ(serial[i], top_k_entries_heap(views[i], k)) << "round " << round;
+      EXPECT_EQ(serial[i], reference::top_k_entries_heap(views[i], k)) << "round " << round;
       EXPECT_EQ(hints_serial[i].threshold, hints_pooled[i].threshold) << "client " << i;
     }
     // FAB-style consumption between rounds.
@@ -583,14 +584,14 @@ TEST(TopK, ChunkAwareSelectionMatchesHeapEverywhere) {
       top_k_entries(acc.value(), acc.chunk_max(), k, ws_tiered, got_tiered);
       top_k_entries(acc.value(), k, ws_dense, got_dense);
       ASSERT_EQ(got_tiered, got_dense) << "round " << round << " k=" << k;
-      ASSERT_EQ(got_tiered, top_k_entries_heap(acc.value(), k)) << "round " << round << " k=" << k;
+      ASSERT_EQ(got_tiered, reference::top_k_entries_heap(acc.value(), k)) << "round " << round << " k=" << k;
     }
     // FAB-style consumption leaves stale-high bounds behind.
     std::vector<std::int32_t> consumed;
     for (const auto& e : got_tiered) consumed.push_back(e.index);
     acc.reset_indices({consumed.data(), consumed.size()});
     top_k_entries(acc.value(), acc.chunk_max(), 300, ws_tiered, got_tiered);
-    ASSERT_EQ(got_tiered, top_k_entries_heap(acc.value(), 300)) << "post-reset round " << round;
+    ASSERT_EQ(got_tiered, reference::top_k_entries_heap(acc.value(), 300)) << "post-reset round " << round;
   }
 }
 

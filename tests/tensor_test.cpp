@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "reference_kernels.h"
 #include "tensor/im2col.h"
 #include "tensor/matrix.h"
 #include "util/rng.h"
@@ -121,7 +122,7 @@ TEST(Gemm, BlockedMatchesScalarReferenceAcrossTileBoundaries) {
     const Matrix a = random_matrix(s.m, s.k, rng);
     const Matrix b = random_matrix(s.k, s.n, rng);
     Matrix want(s.m, s.n);
-    detail::gemm_nn_reference(a, b, 1.5f, want);
+    reference::gemm_nn(a, b, 1.5f, want);
     Matrix got;
     gemm(a, false, b, false, 1.5f, 0.0f, got);
     ASSERT_EQ(got.rows(), s.m);
