@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "sparsify/method.h"
 #include "util/logging.h"
@@ -41,6 +43,27 @@ FederatedTrainer::FederatedTrainer(TrainerConfig cfg) : cfg_(std::move(cfg)) {
   if (kc.kmin <= 0.0) kc.kmin = std::max(2.0, 0.002 * static_cast<double>(dim_));
   if (kc.kmax <= 0.0) kc.kmax = static_cast<double>(dim_);
   if (kc.seed == 1) kc.seed = cfg_.sim.seed ^ 0x5157ULL;
+  cfg_.validate();
+}
+
+void TrainerConfig::validate() const {
+  (void)sparsify::make_method(method, /*dim=*/1, /*seed=*/0);  // throws on an unknown name
+  (void)online::make_controller(controller);
+  if (!scenario.empty()) {
+    const std::vector<std::string> names = fl::scenario_names();
+    if (std::find(names.begin(), names.end(), scenario) == names.end()) {
+      throw std::invalid_argument("TrainerConfig: unknown scenario '" + scenario + "'");
+    }
+  }
+  if (!(controller.kmin <= controller.kmax)) {
+    throw std::invalid_argument("TrainerConfig: controller kmin " +
+                                std::to_string(controller.kmin) + " exceeds kmax " +
+                                std::to_string(controller.kmax));
+  }
+  if (!(dataset.prototype_sparsity >= 0.0 && dataset.prototype_sparsity <= 1.0)) {
+    throw std::invalid_argument("TrainerConfig: dataset.prototype_sparsity must be in [0, 1]");
+  }
+  sim.validate();
 }
 
 fl::SimulationResult FederatedTrainer::run() {

@@ -55,6 +55,13 @@ struct TrainerConfig {
   /// kmin = max(2, 0.002·D) and kmax = D (the paper's Fig. 5 setting).
   online::ControllerConfig controller;
   fl::SimulationConfig sim;
+
+  /// Throws std::invalid_argument naming the first bad setting: an unknown
+  /// method, controller or scenario name, kmin > kmax, a prototype_sparsity
+  /// outside [0, 1], or anything SimulationConfig::validate() rejects.
+  /// FederatedTrainer's constructor calls it after the kmin/kmax auto-fill,
+  /// before any data is generated.
+  void validate() const;
 };
 
 class FederatedTrainer {

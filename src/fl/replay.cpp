@@ -29,9 +29,10 @@ void fnv_vec(std::uint64_t& h, const std::vector<T>& v) {
 
 // --- binary io ------------------------------------------------------------
 
-// "FRL2": v2 appended AdversaryConfig to FaultConfig and RobustConfig to the
-// header — both POD-serialized, so the struct layouts are part of the format.
-constexpr std::uint32_t kMagic = 0x46524C32;
+// "FRL3": v2 appended AdversaryConfig to FaultConfig and RobustConfig to the
+// header — both POD-serialized, so the struct layouts are part of the format;
+// v3 records the fleet size after dim, so loading can bound client ids.
+constexpr std::uint32_t kMagic = 0x46524C33;
 
 struct Writer {
   std::FILE* f;
@@ -93,12 +94,16 @@ constexpr std::size_t kMinRoundBytes = 2 * sizeof(std::uint32_t) + 7 * sizeof(st
                                        sizeof(std::uint64_t);
 
 // Structural checks replay() relies on to index a round's CSR safely.
-void check_round(const ReplayRound& r, std::uint64_t dim) {
+void check_round(const ReplayRound& r, std::uint64_t dim, std::uint64_t fleet) {
   const auto bad = [&r](const char* what) {
     throw std::runtime_error("replay log: round " + std::to_string(r.round) + ": " + what);
   };
   const std::size_t n = r.client_ids.size();
   if (r.data_weights.size() != n) bad("data_weights and client_ids differ in size");
+  for (std::size_t s = 0; s < n; ++s) {
+    if (s > 0 && r.client_ids[s] <= r.client_ids[s - 1]) bad("client ids not strictly increasing");
+    if (r.client_ids[s] >= fleet) bad("client id not below the fleet size");
+  }
   if (r.vec_offsets.size() != n + 1) bad("vec_offsets needs one entry per client plus one");
   if (r.vec_offsets.front() != 0) bad("vec_offsets does not start at 0");
   for (std::size_t s = 0; s < n; ++s) {
@@ -113,10 +118,14 @@ void check_round(const ReplayRound& r, std::uint64_t dim) {
   }
 }
 
-// dim > 0, and small enough for the int32 vector indices to address.
-void check_dim(std::uint64_t dim) {
+// dim > 0, and small enough for the int32 vector indices to address; the
+// fleet holds at least one client and no more than uint32 ids can name.
+void check_header(std::uint64_t dim, std::uint64_t fleet) {
   if (dim == 0 || dim > (std::uint64_t{1} << 31)) {
     throw std::runtime_error("replay log: dim must be in [1, 2^31]");
+  }
+  if (fleet == 0 || fleet > (std::uint64_t{1} << 32)) {
+    throw std::runtime_error("replay log: fleet must be in [1, 2^32]");
   }
 }
 
@@ -137,11 +146,12 @@ std::uint64_t outcome_digest(const sparsify::RoundOutcome& out) {
   return h;
 }
 
-RoundRecorder::RoundRecorder(std::size_t dim, std::string method, std::uint64_t seed,
-                             const FaultConfig& faults,
+RoundRecorder::RoundRecorder(std::size_t dim, std::size_t fleet, std::string method,
+                             std::uint64_t seed, const FaultConfig& faults,
                              const sparsify::ValidationConfig& validation,
                              const sparsify::RobustConfig& robust) {
   log_.dim = dim;
+  log_.fleet = fleet;
   log_.seed = seed;
   log_.method = std::move(method);
   log_.fault_config = faults;
@@ -187,6 +197,7 @@ void ReplayLog::save(const std::string& path) const {
     Writer w{f};
     w.pod(kMagic);
     w.pod(dim);
+    w.pod(fleet);
     w.pod(seed);
     w.str(method);
     w.pod(fault_config);
@@ -228,7 +239,8 @@ ReplayLog ReplayLog::load(const std::string& path) {
     rd.pod(magic);
     if (magic != kMagic) throw std::runtime_error("replay log: bad magic in " + path);
     rd.pod(log.dim);
-    check_dim(log.dim);
+    rd.pod(log.fleet);
+    check_header(log.dim, log.fleet);
     rd.pod(log.seed);
     rd.str(log.method);
     rd.pod(log.fault_config);
@@ -246,7 +258,7 @@ ReplayLog ReplayLog::load(const std::string& path) {
       rd.vec(r.faults);
       rd.vec(r.timeline);
       rd.pod(r.digest);
-      check_round(r, log.dim);
+      check_round(r, log.dim, log.fleet);
     }
   } catch (...) {
     std::fclose(f);
@@ -257,8 +269,8 @@ ReplayLog ReplayLog::load(const std::string& path) {
 }
 
 ReplayResult replay(const ReplayLog& log, std::size_t shards) {
-  check_dim(log.dim);
-  for (const ReplayRound& r : log.rounds) check_round(r, log.dim);
+  check_header(log.dim, log.fleet);
+  for (const ReplayRound& r : log.rounds) check_round(r, log.dim, log.fleet);
   auto method = sparsify::make_method(log.method, log.dim, log.seed);
   method->set_sharding(shards);
   method->set_validation(log.validation);

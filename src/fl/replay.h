@@ -52,7 +52,8 @@ struct ReplayRound {
 
 struct ReplayLog {
   std::uint64_t dim = 0;
-  std::uint64_t seed = 0;  // simulation seed (reconstructs the FaultModel)
+  std::uint64_t fleet = 0;  // number of clients: every client id is below it
+  std::uint64_t seed = 0;   // simulation seed (reconstructs the FaultModel)
   std::string method;
   FaultConfig fault_config;  // includes AdversaryConfig (Byzantine cohorts)
   sparsify::ValidationConfig validation;
@@ -62,7 +63,10 @@ struct ReplayLog {
   /// Compact binary round-trip (magic + version header; throws on mismatch).
   /// load() treats the file as untrusted: it throws std::runtime_error on a
   /// truncated file, a length prefix larger than the bytes left, dim outside
-  /// [1, 2^31], or a round whose CSR is inconsistent (data_weights/client_ids
+  /// [1, 2^31], fleet outside [1, 2^32], or a round whose client ids are not
+  /// strictly increasing and below fleet (the recorder writes each flush set
+  /// in ascending id order, and the selection sizes its per-client state by
+  /// the largest id) or whose CSR is inconsistent (data_weights/client_ids
   /// sizes differ, vec_offsets not n+1 nondecreasing entries from 0 to the
   /// size of vec_indices and vec_values, an index outside [0, dim)).
   void save(const std::string& path) const;
@@ -76,7 +80,7 @@ std::uint64_t outcome_digest(const sparsify::RoundOutcome& out);
 /// Records rounds as the simulation runs them (Simulation::set_recorder).
 class RoundRecorder {
  public:
-  RoundRecorder(std::size_t dim, std::string method, std::uint64_t seed,
+  RoundRecorder(std::size_t dim, std::size_t fleet, std::string method, std::uint64_t seed,
                 const FaultConfig& faults, const sparsify::ValidationConfig& validation,
                 const sparsify::RobustConfig& robust = {});
 

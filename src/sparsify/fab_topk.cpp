@@ -26,7 +26,7 @@ FabTopK::FabTopK(std::size_t dim) : pipe_(dim) {}
 //    resets/contributions test only membership.
 //  * Fill — the (κ+1)-th candidates, strongest (|v| desc, index asc) first,
 //    walked with first-occurrence index dedup until |J| = k. Per shard:
-//    radix-sort the shard's candidates as 64-bit keys (the identical total
+//    sort the shard's candidates as 64-bit keys (the identical total
 //    order), dedup within the shard (a dropped duplicate is weaker than an
 //    earlier same-index key, so the global walk would skip it too) and
 //    truncate to the fill quota f = k − |J| (an entry below f distinct
@@ -132,20 +132,21 @@ RoundOutcome FabTopK::round(const RoundInput& in, std::size_t k) {
           }
         }
       }
-      sort_keys_desc(ar.keys, ar.key_scratch);
+      top_keys_desc(ar.keys, ar.keys.size(), ar.top);
+      std::vector<std::uint64_t>& run = ar.top.out;
       const std::uint32_t tok = ar.begin_pass(dim);
       std::size_t kept = 0;
-      for (const std::uint64_t key : ar.keys) {
+      for (const std::uint64_t key : run) {
         const std::size_t idx = key_index(key);
         if (ar.stamp[idx] == tok) continue;
         ar.stamp[idx] = tok;
-        ar.keys[kept++] = key;
+        run[kept++] = key;
         if (kept == need) break;
       }
-      ar.keys.resize(kept);
+      run.resize(kept);
     });
     std::size_t total_fill = 0;
-    for (std::size_t s = 0; s < S; ++s) total_fill += arenas[s].keys.size();
+    for (std::size_t s = 0; s < S; ++s) total_fill += arenas[s].top.out.size();
     const auto merged = pipe_.merge_arena_keys(S, total_fill);
     for (const std::uint64_t key : merged) {
       if (selected >= k) break;
@@ -210,8 +211,8 @@ RoundOutcome FabTopK::probe_round(const RoundInput& in, std::size_t k) {
         probe_keys_.push_back(make_key(e.value, static_cast<std::size_t>(e.index)));
       }
     }
-    sort_keys_desc(probe_keys_, probe_key_scratch_);
-    for (const std::uint64_t key : probe_keys_) {
+    top_keys_desc(probe_keys_, probe_keys_.size(), probe_top_);
+    for (const std::uint64_t key : probe_top_.out) {
       if (selected >= k) break;
       if (pipe_.admit_probe_index(static_cast<std::int32_t>(key_index(key)), in_j)) ++selected;
     }

@@ -56,9 +56,9 @@ class FabTopK final : public Method {
   // The κ search's union-growth histogram (reused; steady-state rounds
   // allocate nothing). A derived probe reads the last round's.
   std::vector<std::size_t> union_growth_;
-  // A derived probe's fill candidates and their radix scratch.
+  // A derived probe's fill candidates, and the same sorted strongest first.
   std::vector<std::uint64_t> probe_keys_;
-  std::vector<std::uint64_t> probe_key_scratch_;
+  TopKeys probe_top_;
 };
 
 }  // namespace fedsparse::sparsify

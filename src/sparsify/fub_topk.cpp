@@ -1,7 +1,6 @@
 #include "sparsify/fub_topk.h"
 
 #include <algorithm>
-#include <functional>
 
 #include "sparsify/keys.h"
 #include "sparsify/topk.h"
@@ -15,8 +14,8 @@ FubTopK::FubTopK(std::size_t dim) : pipe_(dim) {}
 // The server keeps the k entries of the aggregated union that are largest
 // by (|value| desc, index asc) — exactly the 64-bit key order on (agg value,
 // index), and the per-index keys are unique. So: bucketed aggregation
-// (shard-count-independent sums, see shard_engine.h), per-bucket partial
-// top-k via nth_element + radix sort, k-bounded tree merge of the runs. The
+// (shard-count-independent sums, see shard_engine.h), per-bucket sorted
+// top-k runs (top_keys_desc), k-bounded tree merge of the runs. The
 // merged run is the global top-k set; the update is then index-sorted.
 RoundOutcome FubTopK::round(const RoundInput& in, std::size_t k) {
   validate_round_input(in);
@@ -43,12 +42,7 @@ RoundOutcome FubTopK::round(const RoundInput& in, std::size_t k) {
       const auto idx = static_cast<std::size_t>(j);
       ar.keys.push_back(make_key(agg[idx], idx));
     }
-    if (ar.keys.size() > k) {
-      std::nth_element(ar.keys.begin(), ar.keys.begin() + static_cast<std::ptrdiff_t>(k),
-                       ar.keys.end(), std::greater<std::uint64_t>());
-      ar.keys.resize(k);
-    }
-    sort_keys_desc(ar.keys, ar.key_scratch);
+    top_keys_desc(ar.keys, k, ar.top);
   });
   const auto merged = pipe_.merge_arena_keys(B, k);
 

@@ -7,9 +7,9 @@
 // inputs), so plain descending uint64 order IS the selection's total order —
 // (|v| desc, index asc) — and every partition/merge step compares one integer
 // instead of two fabs() floats plus a tie branch. Because the order is total
-// on distinct keys, per-shard radix-sorted key runs merge into the global
-// order with a plain two-pointer walk: the property the sharded engine's
-// tree reduction relies on (shard_engine.h).
+// on distinct keys, per-shard key runs sorted by top_keys_desc (topk.h) merge
+// into the global order with a plain two-pointer walk: the property the
+// sharded engine's tree reduction relies on (shard_engine.h).
 #pragma once
 
 #include <cstdint>

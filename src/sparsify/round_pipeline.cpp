@@ -114,7 +114,7 @@ std::span<const std::uint64_t> RoundPipeline::merge_arena_keys(std::size_t count
                                                                std::size_t bound) {
   runs_.clear();
   for (std::size_t s = 0; s < count; ++s) {
-    runs_.push_back({arenas_[s].keys.data(), arenas_[s].keys.size()});
+    runs_.push_back(arenas_[s].top.out);
   }
   merger_.merge({runs_.data(), runs_.size()}, bound, merged_keys_);
 #ifdef FEDSPARSE_CONTRACTS

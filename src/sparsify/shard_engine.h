@@ -39,6 +39,7 @@
 #include "sparsify/method.h"
 #include "sparsify/robust.h"
 #include "sparsify/sparse_vector.h"
+#include "sparsify/topk.h"
 
 namespace fedsparse::util {
 class ThreadPool;
@@ -79,9 +80,9 @@ struct ShardArena {
   std::vector<std::uint32_t> stamp;
   std::vector<std::uint32_t> aux;
   std::uint32_t token = 0;
-  std::vector<std::int32_t> touched;       // stamped indices, first-touch order
-  std::vector<std::uint64_t> keys;         // per-shard sorted candidate run
-  std::vector<std::uint64_t> key_scratch;  // radix ping-pong
+  std::vector<std::int32_t> touched;  // stamped indices, first-touch order
+  std::vector<std::uint64_t> keys;    // per-shard candidate keys, unordered
+  TopKeys top;                        // top.out: the shard's sorted candidate run
 
   /// Grows the arenas to `dim` and returns a fresh token (wrap-safe: a wrap
   /// rezeroes the stamp array, once per 2^32 uses).

@@ -1,8 +1,8 @@
 #include "sparsify/topk.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <cstring>
 #include <functional>
 #include <limits>
 #include <stdexcept>
@@ -158,47 +158,114 @@ bool hint_filter(std::span<const float> v, std::size_t k, float hint,
   return false;
 }
 
-// Sorts keys descending: LSD radix, 8-bit digits, buckets laid out in
-// reverse digit order each pass (a stable descending pass per byte yields a
-// fully descending sequence after the last one). Keys are unique, so the
-// result is the exact sequence std::sort(greater<>) produces, at ~n work per
-// pass instead of n log n branchy comparisons — the k-element output sort is
-// the second-largest cost of a hinted selection after the scan itself.
-// Passes whose digit is constant across all keys reorder nothing and are
-// skipped (common in the high |value| bytes, which span a narrow exponent
-// range). Small inputs stay on std::sort: below a few hundred elements the
-// 256-bucket bookkeeping costs more than the comparisons.
-constexpr std::size_t kRadixMinSize = 512;
+// Sorting a short run costs less than one pass of bucket bookkeeping.
+constexpr std::size_t kBucketMinKeys = 512;
+// Buckets above this size are sorted by std::sort instead of the final
+// insertion pass, so a run of equal magnitudes cannot go quadratic.
+constexpr std::size_t kInsertionMaxRun = 16;
+// 2^16 four-byte counters: the histogram stays in L2 at any n.
+constexpr unsigned kMaxLogBuckets = 16;
+
+// Insertion sort, descending. Linear on the bucketed output: every key is at
+// most its bucket's width away from its place.
+void insertion_sort_desc(std::uint64_t* a, std::size_t n) {
+  for (std::size_t i = 1; i < n; ++i) {
+    const std::uint64_t x = a[i];
+    std::size_t j = i;
+    for (; j > 0 && a[j - 1] < x; --j) a[j] = a[j - 1];
+    a[j] = x;
+  }
+}
 
 }  // namespace
 
-void sort_keys_desc(std::vector<std::uint64_t>& keys, std::vector<std::uint64_t>& scratch) {
+// One histogram-and-scatter pass over [min key, max key]: 2^b buckets with
+// 2^b in (n, 2n] (at most 2^16), a key's bucket its offset from the minimum
+// shifted right by a common amount, so bucket order is key order. Buckets
+// at or above the cut bucket (the one holding the k-th largest key) scatter
+// in descending bucket order; keys below it are dropped. The float bit
+// pattern is logarithmic in |v|, so even a dense vector's keys spread over
+// many buckets. Inside a bucket keys keep input order: oversized buckets get
+// std::sort (the cut bucket nth_element first), and one insertion pass
+// orders the rest. Equal keys share a bucket and come out adjacent.
+void top_keys_desc(std::span<const std::uint64_t> keys, std::size_t k, TopKeys& t) {
   const std::size_t n = keys.size();
-  if (n < kRadixMinSize) {
-    std::sort(keys.begin(), keys.end(), std::greater<std::uint64_t>());
+  k = std::min(k, n);
+  std::vector<std::uint64_t>& out = t.out;
+  if (k == 0) {
+    out.clear();
     return;
   }
-  scratch.resize(n);
-  std::uint64_t* src = keys.data();
-  std::uint64_t* dst = scratch.data();
-  std::size_t count[256];
-  for (std::size_t pass = 0; pass < 8; ++pass) {
-    const std::size_t shift = pass * 8;
-    std::fill(count, count + 256, 0);
-    for (std::size_t i = 0; i < n; ++i) ++count[(src[i] >> shift) & 255];
-    if (std::any_of(count, count + 256, [n](std::size_t c) { return c == n; })) {
-      continue;  // constant digit: a stable pass would copy src verbatim
+  if (n < kBucketMinKeys) {
+    out.assign(keys.begin(), keys.end());
+    if (k < n) {
+      std::nth_element(out.begin(), out.begin() + static_cast<std::ptrdiff_t>(k), out.end(),
+                       std::greater<std::uint64_t>());
+      out.resize(k);
     }
-    std::size_t pos = 0;
-    for (std::size_t d = 256; d-- > 0;) {  // descending digit order
-      const std::size_t c = count[d];
-      count[d] = pos;
-      pos += c;
-    }
-    for (std::size_t i = 0; i < n; ++i) dst[count[(src[i] >> shift) & 255]++] = src[i];
-    std::swap(src, dst);
+    std::sort(out.begin(), out.end(), std::greater<std::uint64_t>());
+    return;
   }
-  if (src != keys.data()) std::memcpy(keys.data(), src, n * sizeof(std::uint64_t));
+  std::uint64_t lo = ~std::uint64_t{0}, hi = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    lo = keys[i] < lo ? keys[i] : lo;
+    hi = keys[i] > hi ? keys[i] : hi;
+  }
+  const auto log_buckets = std::min(static_cast<unsigned>(std::bit_width(n)), kMaxLogBuckets);
+  const auto range_bits = static_cast<unsigned>(std::bit_width(hi - lo));
+  const unsigned shift = range_bits > log_buckets ? range_bits - log_buckets : 0;
+  const auto top = static_cast<std::size_t>((hi - lo) >> shift);
+  std::vector<std::uint32_t>& count = t.count;
+  count.reserve(std::size_t{1} << log_buckets);  // by n alone, so warm-up covers it
+  count.assign(top + 1, 0);
+  for (const std::uint64_t key : keys) ++count[(key - lo) >> shift];
+
+  // Walk down from the top bucket to the cut bucket (the one holding the
+  // k-th largest key), turning counts into write cursors.
+  std::size_t cut = top, pos = 0, widest = 0;
+  for (;; --cut) {
+    const std::size_t c = count[cut];
+    count[cut] = static_cast<std::uint32_t>(pos);
+    widest = std::max(widest, c);
+    pos += c;
+    if (pos >= k) break;
+  }
+  // Keys below the cut all land on out[pos], and the choice is a mask, not
+  // a branch: about half the keys of a hinted selection fall below the cut,
+  // in no predictable order. A below-cut counter is overwritten unread.
+  out.resize(pos + 1);
+  std::uint64_t* o = out.data();
+  const auto drop = static_cast<std::uint32_t>(pos);
+  for (const std::uint64_t key : keys) {
+    const auto b = static_cast<std::size_t>((key - lo) >> shift);
+    const std::uint32_t keep = b >= cut ? 1 : 0;
+    const std::uint32_t at = (count[b] & (0u - keep)) | (drop & (keep - 1));
+    o[at] = key;
+    count[b] = at + keep;
+  }
+  // count[b] is now bucket b's end, and bucket b+1's end its begin.
+  std::size_t sorted_to = pos;  // the insertion pass's extent
+  if (widest > kInsertionMaxRun) {
+    std::size_t begin = 0;
+    for (std::size_t b = top + 1; b-- > cut;) {
+      const std::size_t end = count[b];
+      if (end - begin > kInsertionMaxRun) {
+        // A run that arrives sorted (exact zeros, keyed in index order, as
+        // the dense paths collect them) stays as it is.
+        if (!std::is_sorted(o + begin, o + end, std::greater<std::uint64_t>())) {
+          const std::size_t last = b == cut ? k : end;
+          if (last < end) {
+            std::nth_element(o + begin, o + last, o + end, std::greater<std::uint64_t>());
+          }
+          std::sort(o + begin, o + last, std::greater<std::uint64_t>());
+        }
+        if (b == cut) sorted_to = k;
+      }
+      begin = end;
+    }
+  }
+  insertion_sort_desc(o, sorted_to);
+  out.resize(k);
 }
 
 namespace {
@@ -222,9 +289,7 @@ void collect_tiered_dense(std::span<const float> v, std::span<const float> chunk
   }
   if (keys.size() >= k) return;
   // Every positive-|v| entry is selected; pad with the smallest-index zeros.
-  const std::size_t positives = keys.size();
-  std::sort(keys.begin(), keys.end(), std::greater<std::uint64_t>());
-  std::size_t need = k - positives;
+  std::size_t need = k - keys.size();
   for (std::size_t c = 0; c < chunk_max.size() && need > 0; ++c) {
     const std::size_t begin = c * kAccumulatorChunk;
     const std::size_t end = std::min(v.size(), begin + kAccumulatorChunk);
@@ -241,23 +306,21 @@ void collect_tiered_dense(std::span<const float> v, std::span<const float> chunk
       }
     }
   }
-  // keys is now exactly k entries and already fully descending: positives
-  // sorted above, zero keys appended in index order (= key order) below them.
 }
 
-// Leaves the k strongest entries in ws.candidates, sorted strongest first.
-void select(std::span<const float> v, std::span<const float> chunk_max, std::size_t k,
-            TopKWorkspace& ws, const PrescanView* pre = nullptr) {
+// Returns the k strongest entries' keys, strongest first (a view of ws.top).
+std::span<const std::uint64_t> select(std::span<const float> v, std::span<const float> chunk_max,
+                                      std::size_t k, TopKWorkspace& ws,
+                                      const PrescanView* pre = nullptr) {
   if (!chunk_max.empty() && chunk_max.size() != accumulator_chunks(v.size())) {
     throw std::invalid_argument("top_k: chunk summary size does not cover the vector");
   }
   k = std::min(k, v.size());
-  SparseVector& cand = ws.candidates;
   std::vector<std::uint64_t>& keys = ws.keys;
-  cand.clear();
   keys.clear();
-  if (k == 0) return;
+  if (k == 0) return {};
 
+  bool from_prescan = false;
   bool hint_ok = false;
   bool filtered = false;
   if (k < v.size() && v.size() >= kTopKPrefilterMinDim) {
@@ -273,7 +336,7 @@ void select(std::span<const float> v, std::span<const float> chunk_max, std::siz
         static_cast<std::size_t>(pre->k) == k) {
       pre_used = true;
       if (pre->complete && pre->keys.size() >= k) {
-        keys.assign(pre->keys.begin(), pre->keys.end());
+        from_prescan = true;
         hint_ok = true;
       }
     }
@@ -287,47 +350,46 @@ void select(std::span<const float> v, std::span<const float> chunk_max, std::siz
       for (std::size_t i = 0; i < v.size(); ++i) keys.push_back(make_key(v[i], i));
     }
   }
-  if (keys.size() > k) {
-    std::nth_element(keys.begin(), keys.begin() + static_cast<std::ptrdiff_t>(k), keys.end(),
-                     std::greater<std::uint64_t>());
-    keys.resize(k);
-    sort_keys_desc(keys, ws.key_scratch);
-  } else if (!std::is_sorted(keys.begin(), keys.end(), std::greater<std::uint64_t>())) {
-    sort_keys_desc(keys, ws.key_scratch);
-  }
-  cand.resize(keys.size());
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    const std::size_t idx = key_index(keys[i]);
-    cand[i] = SparseEntry{static_cast<std::int32_t>(idx), v[idx]};
-  }
+  top_keys_desc(from_prescan ? pre->keys : std::span<const std::uint64_t>(keys), k, ws.top);
+  const std::span<const std::uint64_t> top = ws.top.out;
   // Replace the hint when this selection is at least as deep as the one that
   // produced it, or when the stored hint just failed (it drifted stale — low
   // thresholds self-correct here after a cap bail-out). A successful
   // shallower pass keeps the deeper hint intact.
   if (!hint_ok || k >= ws.hint_k) {
-    ws.threshold_hint = cand.empty() ? 0.0f : std::fabs(cand.back().value);
+    ws.threshold_hint = top.empty() ? 0.0f : std::fabs(v[key_index(top.back())]);
     ws.hint_k = k;
+  }
+  return top;
+}
+
+void write_entries(std::span<const float> v, std::span<const std::uint64_t> top,
+                   SparseVector& out) {
+  out.resize(top.size());
+  for (std::size_t i = 0; i < top.size(); ++i) {
+    const std::size_t idx = key_index(top[i]);
+    out[i] = SparseEntry{static_cast<std::int32_t>(idx), v[idx]};
   }
 }
 
 }  // namespace
 
 void top_k_entries(std::span<const float> v, std::size_t k, TopKWorkspace& ws, SparseVector& out) {
-  select(v, /*chunk_max=*/{}, k, ws);
-  out.assign(ws.candidates.begin(), ws.candidates.end());
+  write_entries(v, select(v, /*chunk_max=*/{}, k, ws), out);
 }
 
 void top_k_entries(std::span<const float> v, std::span<const float> chunk_max, std::size_t k,
                    TopKWorkspace& ws, SparseVector& out, const PrescanView* pre) {
-  select(v, chunk_max, k, ws, pre);
-  out.assign(ws.candidates.begin(), ws.candidates.end());
+  write_entries(v, select(v, chunk_max, k, ws, pre), out);
 }
 
 void top_k_indices(std::span<const float> v, std::size_t k, TopKWorkspace& ws,
                    std::vector<std::int32_t>& out) {
-  select(v, /*chunk_max=*/{}, k, ws);
-  out.clear();
-  for (const auto& e : ws.candidates) out.push_back(e.index);
+  const std::span<const std::uint64_t> top = select(v, /*chunk_max=*/{}, k, ws);
+  out.resize(top.size());
+  for (std::size_t i = 0; i < top.size(); ++i) {
+    out[i] = static_cast<std::int32_t>(key_index(top[i]));
+  }
 }
 
 void top_k_uploads(const std::vector<std::span<const float>>& vecs,

@@ -3,9 +3,10 @@
 // The per-round, per-client hot path of every top-k GS method. The production
 // path is a threshold prefilter — seeded by the caller's previous k-th
 // magnitude when a workspace persists across rounds, else by a strided
-// sample — followed by std::nth_element quickselect: O(D) expected work
-// versus the O(D log D) client sort the paper argues against (Section III-B)
-// and the O(D log k) heap of the seed implementation. Ties are broken deterministically (larger |value| first,
+// sample — followed by top_keys_desc, one bucketed select-and-sort pass over
+// the survivors' 64-bit keys: O(D) work versus the O(D log D) client sort the
+// paper argues against (Section III-B) and the O(D log k) heap of the seed
+// implementation. Ties are broken deterministically (larger |value| first,
 // then smaller index), which keeps whole simulations bit-reproducible; the
 // selected set is exact (identical to a full sort) regardless of sampling.
 //
@@ -34,7 +35,7 @@
 namespace fedsparse::sparsify {
 
 /// Below this dimension the prefilter's sampling pass is not worth its scan;
-/// quickselect over all D entries is already cheap. Exported so the
+/// selecting over all D entries is already cheap. Exported so the
 /// simulation's fused-prescan gate matches the selection's engage condition
 /// exactly — a prescan below this dimension would never be consumed.
 constexpr std::size_t kTopKPrefilterMinDim = 4096;
@@ -80,19 +81,30 @@ struct PrescanView {
   bool complete = false;
 };
 
-/// Reusable scratch for the quickselect path. One workspace per caller
-/// (not thread-safe); capacity grows to the largest candidate set seen and
-/// is then reused, so steady-state rounds allocate nothing.
-struct TopKWorkspace {
-  SparseVector candidates;  // the selected (index, value) pairs, strongest first
+/// Scratch and result of top_keys_desc. Both buffers keep their capacity,
+/// so a caller that holds one allocates nothing after warm-up.
+struct TopKeys {
+  std::vector<std::uint64_t> out;    // the result: the k largest keys, descending
+  std::vector<std::uint32_t> count;  // bucket histogram, then write cursors
+};
 
+/// Leaves the min(k, keys.size()) largest of `keys` in t.out, sorted
+/// descending (keys.h: strongest entry first). Duplicate keys are kept and
+/// come out adjacent. `keys` must not alias t.out. Below ~512 keys this is
+/// std::sort; above, one histogram-and-scatter pass over the key range.
+void top_keys_desc(std::span<const std::uint64_t> keys, std::size_t k, TopKeys& t);
+
+/// Reusable scratch for the selection. One workspace per caller (not
+/// thread-safe); capacity grows to the largest candidate set seen and is
+/// then reused, so steady-state rounds allocate nothing.
+struct TopKWorkspace {
   /// Surviving candidates under selection, packed as 64-bit keys:
   /// (|value| bits << 32) | ~index. IEEE magnitude order matches unsigned
   /// integer order on the high word and the complemented index makes plain
   /// descending uint64 order exactly the (|v| desc, index asc) total order —
-  /// nth_element/sort run on POD integers instead of branchy float compares.
+  /// the selection runs on POD integers instead of branchy float compares.
   std::vector<std::uint64_t> keys;
-  std::vector<std::uint64_t> key_scratch;  // radix-sort ping-pong buffer
+  TopKeys top;  // the selected keys, strongest first
 
   /// The k-th |value| of a recent selection through this workspace, and the
   /// k that produced it. Persisted per client across rounds (a ClientHint in
@@ -110,10 +122,10 @@ struct TopKWorkspace {
   float threshold_hint = 0.0f;
   std::size_t hint_k = 0;
 
-  /// Total capacity currently held, in 8-byte entries — observable by tests
-  /// that assert the steady state stops allocating.
+  /// Total capacity currently held, in entries — observable by tests that
+  /// assert the steady state stops allocating.
   std::size_t capacity() const noexcept {
-    return candidates.capacity() + keys.capacity() + key_scratch.capacity();
+    return keys.capacity() + top.out.capacity() + top.count.capacity();
   }
 };
 
@@ -162,11 +174,6 @@ void top_k_uploads(const std::vector<std::span<const float>>& vecs,
 /// Allocating conveniences over the scratch API (cold paths and tests).
 std::vector<std::int32_t> top_k_indices(std::span<const float> v, std::size_t k);
 SparseVector top_k_entries(std::span<const float> v, std::size_t k);
-
-/// Sorts keys descending (LSD radix above ~512 elements, std::sort below).
-/// Keys are assumed unique; `scratch` is the radix ping-pong buffer.
-/// Exported for the sharded engine's per-shard candidate runs.
-void sort_keys_desc(std::vector<std::uint64_t>& keys, std::vector<std::uint64_t>& scratch);
 
 /// Appends the key of every entry in [begin, end) with |v[i]| >= threshold,
 /// in ascending index order (indices are global, not range-relative).

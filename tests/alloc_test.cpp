@@ -1,8 +1,9 @@
-// Heap-allocation budget of the client hot paths. This executable replaces
+// Heap-allocation budget of the round's hot paths. This executable replaces
 // the global operator new with a counting one, so it stays separate from the
-// other suites: after warm-up, a local step (Client::compute_round_gradient)
-// and an evaluation forward on a bound workspace must not allocate at all.
-// Shape: the fleet MLP 64-32-10, batch 32, 16-sample clients.
+// other suites: after warm-up, a local step (Client::compute_round_gradient),
+// an evaluation forward on a bound workspace and a round of client top-k
+// uploads must not allocate at all. Shapes: the fleet MLP 64-32-10, batch 32,
+// 16-sample clients; the paper's 23 clients at D = 54,270.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,6 +16,7 @@
 #include "data/dataset.h"
 #include "fl/client.h"
 #include "nn/models.h"
+#include "sparsify/topk.h"
 #include "util/rng.h"
 
 namespace {
@@ -124,6 +126,46 @@ TEST(AllocationFree, EvaluationForwardAfterWarmup) {
   });
   EXPECT_TRUE(std::isfinite(sum));
   EXPECT_EQ(news, 0u) << "heap allocations over 5 evaluation forwards + accuracies";
+}
+
+TEST(AllocationFree, TopKUploadsAfterWarmup) {
+  // The paper_adaptive shape: 23 clients, D = 54,270, k walking below the
+  // largest k the controller can ask (k = D). Warm-up at that k sizes every
+  // workspace buffer, hint slot and upload; after it, rounds at any smaller
+  // k — hinted, resampled or dense — reuse them.
+  constexpr std::size_t kClients = 23;
+  constexpr std::size_t kDim = 54270;
+  util::Rng rng(11);
+  std::vector<std::vector<float>> acc(kClients, std::vector<float>(kDim));
+  for (auto& v : acc) {
+    for (float& x : v) x = static_cast<float>(rng.normal(0.0, 1.0));
+  }
+  std::vector<std::span<const float>> vecs;
+  for (const auto& v : acc) vecs.emplace_back(v.data(), v.size());
+  std::vector<std::size_t> ids(kClients);
+  for (std::size_t s = 0; s < kClients; ++s) ids[s] = 3 * s;  // a partial-participation id set
+  std::vector<sparsify::TopKWorkspace> workspaces;
+  std::vector<sparsify::ClientHint> hints;
+  std::vector<sparsify::SparseVector> uploads;
+  const auto round = [&](std::size_t k) {
+    sparsify::top_k_uploads(vecs, {}, k, ids, workspaces, hints, uploads);
+    // Grow the accumulators a little, as a round's new gradient would.
+    for (auto& v : acc) {
+      for (std::size_t j = 0; j < kDim; j += 7) v[j] *= 1.01f;
+    }
+  };
+  round(kDim);
+  round(kDim);
+  std::size_t selected = 0;
+  const std::size_t news = count_news([&] {
+    for (const std::size_t k : {13700u, 13900u, 3000u, 108u, 30000u, 25667u, 54269u, 13700u}) {
+      round(k);
+      for (const auto& up : uploads) selected += up.size();
+    }
+  });
+  EXPECT_EQ(selected, kClients * (13700u + 13900u + 3000u + 108u + 30000u + 25667u + 54269u +
+                                  13700u));
+  EXPECT_EQ(news, 0u) << "heap allocations over 8 rounds of 23 top-k uploads";
 }
 
 }  // namespace

@@ -461,7 +461,8 @@ TEST(ByzantineReplay, AttackedSyncRunReplaysAtEveryShardCount) {
   auto factory = tiny_model();
   util::Rng probe(1);
   const std::size_t dim = factory(probe)->dim();
-  RoundRecorder recorder(dim, "fab_topk", 5, cfg.faults, cfg.validation, cfg.robust);
+  RoundRecorder recorder(dim, dataset.clients.size(), "fab_topk", 5, cfg.faults, cfg.validation,
+                         cfg.robust);
   {
     Simulation sim(cfg, std::move(dataset), factory, sparsify::make_method("fab_topk", dim, 5),
                    std::make_unique<online::FixedK>(20.0));
@@ -505,7 +506,8 @@ TEST(ByzantineReplay, AttackedBufferedAsyncRunReplays) {
   auto factory = tiny_model();
   util::Rng probe(1);
   const std::size_t dim = factory(probe)->dim();
-  RoundRecorder recorder(dim, "fab_topk", 5, cfg.faults, cfg.validation, cfg.robust);
+  RoundRecorder recorder(dim, dataset.clients.size(), "fab_topk", 5, cfg.faults, cfg.validation,
+                         cfg.robust);
   Simulation sim(cfg, std::move(dataset), factory, sparsify::make_method("fab_topk", dim, 5),
                  std::make_unique<online::FixedK>(20.0));
   sim.set_recorder(&recorder);

@@ -4,6 +4,9 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/trainer.h"
 
@@ -95,11 +98,41 @@ TEST(FederatedTrainer, RunsEveryMethodThroughPublicApi) {
   }
 }
 
-TEST(FederatedTrainer, RejectsUnknownMethodAtRun) {
+TEST(FederatedTrainer, RejectsUnknownMethodAtConstruction) {
   auto cfg = tiny_config();
   cfg.method = "magic";
-  FederatedTrainer trainer(cfg);
-  EXPECT_THROW(trainer.run(), std::invalid_argument);
+  EXPECT_THROW(FederatedTrainer{cfg}, std::invalid_argument);
+}
+
+TEST(FederatedTrainer, ValidatesEverySettingBeforeGeneratingData) {
+  const auto broken = [](auto mutate) {
+    TrainerConfig cfg = tiny_config();
+    mutate(cfg);
+    return cfg;
+  };
+  const std::vector<std::pair<const char*, TrainerConfig>> cases = {
+      {"controller name", broken([](TrainerConfig& c) { c.controller.name = "sign_ogdd"; })},
+      {"scenario name", broken([](TrainerConfig& c) { c.scenario = "metered_wna"; })},
+      {"kmin > kmax", broken([](TrainerConfig& c) {
+         c.controller.name = "extended_sign_ogd";
+         c.controller.kmin = 1e9;  // kmax auto-fills to D
+       })},
+      {"prototype_sparsity > 1",
+       broken([](TrainerConfig& c) { c.dataset.prototype_sparsity = 1.5; })},
+      {"prototype_sparsity < 0",
+       broken([](TrainerConfig& c) { c.dataset.prototype_sparsity = -0.1; })},
+      {"prototype_sparsity NaN",
+       broken([](TrainerConfig& c) { c.dataset.prototype_sparsity = std::nan(""); })},
+      {"sim.lr", broken([](TrainerConfig& c) { c.sim.lr = -0.05f; })},
+  };
+  for (const auto& [what, cfg] : cases) {
+    EXPECT_THROW(FederatedTrainer{cfg}, std::invalid_argument) << what;
+    EXPECT_THROW(cfg.validate(), std::invalid_argument) << what;
+  }
+  EXPECT_NO_THROW(tiny_config().validate());
+  auto named = tiny_config();
+  named.scenario = fl::scenario_names().front();
+  EXPECT_NO_THROW(FederatedTrainer{named});
 }
 
 TEST(FederatedTrainer, DeterministicAcrossRuns) {

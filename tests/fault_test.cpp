@@ -577,7 +577,7 @@ TEST(Replay, SyncFaultedRunReplaysAtEveryShardCount) {
   auto factory = tiny_model();
   util::Rng probe(1);
   const std::size_t dim = factory(probe)->dim();
-  RoundRecorder recorder(dim, "fab_topk", 5, cfg.faults, cfg.validation);
+  RoundRecorder recorder(dim, dataset.clients.size(), "fab_topk", 5, cfg.faults, cfg.validation);
   {
     Simulation sim(cfg, std::move(dataset), factory, sparsify::make_method("fab_topk", dim, 5),
                    std::make_unique<online::FixedK>(20.0));
@@ -629,7 +629,7 @@ TEST(Replay, AsyncFaultedRunReplays) {
   auto factory = tiny_model();
   util::Rng probe(1);
   const std::size_t dim = factory(probe)->dim();
-  RoundRecorder recorder(dim, "fab_topk", 5, cfg.faults, cfg.validation);
+  RoundRecorder recorder(dim, dataset.clients.size(), "fab_topk", 5, cfg.faults, cfg.validation);
   Simulation sim(cfg, std::move(dataset), factory, sparsify::make_method("fab_topk", dim, 5),
                  std::make_unique<online::FixedK>(20.0));
   sim.set_recorder(&recorder);
@@ -654,6 +654,7 @@ TEST(Replay, AsyncFaultedRunReplays) {
 ReplayLog small_log() {
   ReplayLog log;
   log.dim = 16;
+  log.fleet = 3;
   log.seed = 3;
   log.method = "fab_topk";
   for (std::uint32_t m = 1; m <= 2; ++m) {
@@ -728,7 +729,7 @@ TEST(ReplayLoad, OversizedLengthsThrowWithoutAllocating) {
   ReplayLog header_only = small_log();
   header_only.rounds.clear();
   const std::size_t header = saved_bytes(header_only, path).size();
-  const std::size_t method_len_at = sizeof(std::uint32_t) + 2 * sizeof(std::uint64_t);
+  const std::size_t method_len_at = sizeof(std::uint32_t) + 3 * sizeof(std::uint64_t);
   const std::size_t rounds_at = header - sizeof(std::uint64_t);
   const std::size_t ids_len_at = header + 2 * sizeof(std::uint32_t);
   for (const std::size_t at : {method_len_at, rounds_at, ids_len_at}) {
@@ -743,6 +744,28 @@ TEST(ReplayLoad, OversizedLengthsThrowWithoutAllocating) {
   std::remove(path.c_str());
 }
 
+TEST(ReplayLoad, FlippedClientIdBitsThrowOnLoad) {
+  // The selection sizes its per-client hint store by the largest client id,
+  // so an id flipped to ~2^31 would ask replay() for gigabytes. load() must
+  // reject it from the recorded fleet size alone (replay() is not called).
+  const std::string path = ::testing::TempDir() + "replay_flipped_id.bin";
+  const std::string bytes = saved_bytes(small_log(), path);
+  ReplayLog header_only = small_log();
+  header_only.rounds.clear();
+  const std::size_t header = saved_bytes(header_only, path).size();
+  const std::size_t ids_at = header + 2 * sizeof(std::uint32_t) + sizeof(std::uint64_t);
+  for (std::size_t id = 0; id < 3; ++id) {
+    for (int bit = 2; bit < 32; ++bit) {
+      std::string flipped = bytes;
+      const std::size_t at =
+          ids_at + id * sizeof(std::uint32_t) + static_cast<std::size_t>(bit / 8);
+      flipped[at] = static_cast<char>(flipped[at] ^ (1 << (bit % 8)));
+      EXPECT_FALSE(loads(path, flipped)) << "client " << id << " bit " << bit;
+    }
+  }
+  std::remove(path.c_str());
+}
+
 TEST(ReplayLoad, InconsistentRoundsThrowOnLoadAndReplay) {
   const std::string path = ::testing::TempDir() + "replay_inconsistent.bin";
   const auto broken = [](auto mutate) {
@@ -752,6 +775,10 @@ TEST(ReplayLoad, InconsistentRoundsThrowOnLoadAndReplay) {
   };
   const std::vector<std::pair<const char*, ReplayLog>> cases = {
       {"dim 0", broken([](ReplayLog& l) { l.dim = 0; })},
+      {"fleet 0", broken([](ReplayLog& l) { l.fleet = 0; })},
+      {"id == fleet", broken([](ReplayLog& l) { l.rounds[1].client_ids[2] = 3; })},
+      {"ids descend", broken([](ReplayLog& l) { l.rounds[0].client_ids = {0, 2, 1}; })},
+      {"ids repeat", broken([](ReplayLog& l) { l.rounds[1].client_ids = {0, 1, 1}; })},
       {"index == dim", broken([](ReplayLog& l) { l.rounds[1].vec_indices[6] = 16; })},
       {"negative index", broken([](ReplayLog& l) { l.rounds[0].vec_indices[0] = -1; })},
       {"weights/ids size", broken([](ReplayLog& l) { l.rounds[0].data_weights.pop_back(); })},

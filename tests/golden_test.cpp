@@ -145,7 +145,8 @@ std::string run_section(const GoldenCase& g, const std::string& scenario, std::s
     os << "rejected " << e.what() << "\n";
     return os.str();
   }
-  RoundRecorder recorder(dim, g.method, cfg.seed, cfg.faults, cfg.validation, cfg.robust);
+  RoundRecorder recorder(dim, kClients, g.method, cfg.seed, cfg.faults, cfg.validation,
+                         cfg.robust);
   sim->set_recorder(&recorder);
   const SimulationResult res = sim->run();
 

@@ -2,8 +2,10 @@
 // FAB-top-k (fairness invariants + κ search), and every baseline method.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <numeric>
 #include <set>
@@ -16,6 +18,7 @@
 #include "sparsify/fab_topk.h"
 #include "sparsify/fedavg.h"
 #include "sparsify/fub_topk.h"
+#include "sparsify/keys.h"
 #include "sparsify/method.h"
 #include "sparsify/periodic_k.h"
 #include "sparsify/sparse_vector.h"
@@ -91,7 +94,7 @@ TEST(TopK, DeterministicTieBreakPrefersSmallIndex) {
   EXPECT_EQ(idx[1], 1);
 }
 
-// Quickselect path vs the retained seed heap: identical (index, value)
+// Selection path vs the retained seed heap: identical (index, value)
 // sequences across dimension regimes (empty, single, k-boundary, prefilter
 // territory), heavy ties, and k >= D.
 TEST(TopK, QuickselectMatchesHeapAcrossSizes) {
@@ -260,6 +263,113 @@ TEST(TopK, ScratchApiStopsAllocatingAfterWarmup) {
     EXPECT_EQ(out.data(), out_data) << "output buffer reallocated in round " << round;
     EXPECT_EQ(idx_out.capacity(), idx_cap);
     ASSERT_EQ(out.size(), k);
+  }
+}
+
+// ------------------------------------------------------- top_keys_desc ----
+
+// The oracle: sort every key descending, keep the first k.
+std::vector<std::uint64_t> sorted_top_keys(std::vector<std::uint64_t> keys, std::size_t k) {
+  std::sort(keys.begin(), keys.end(), std::greater<std::uint64_t>());
+  keys.resize(std::min(k, keys.size()));
+  return keys;
+}
+
+// Runs the kernel at k ∈ {1, n/3, n−1, n} (and 0) on one reused scratch.
+void expect_top_keys_match_oracle(const std::vector<std::uint64_t>& keys, TopKeys& t,
+                                  const std::string& what) {
+  const std::size_t n = keys.size();
+  for (const std::size_t k : {std::size_t{0}, std::size_t{1}, n / 3, n > 0 ? n - 1 : 0, n,
+                              n + 7}) {
+    top_keys_desc(keys, k, t);
+    ASSERT_EQ(t.out, sorted_top_keys(keys, k)) << what << " n=" << n << " k=" << k;
+  }
+}
+
+std::vector<std::uint64_t> keys_of(const std::vector<float>& v) {
+  std::vector<std::uint64_t> keys(v.size());
+  for (std::size_t i = 0; i < v.size(); ++i) keys[i] = make_key(v[i], i);
+  return keys;
+}
+
+TEST(TopKeys, MatchesSortOracleAcrossSizes) {
+  util::Rng rng(201);
+  TopKeys t;
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{2}, std::size_t{511},
+                              std::size_t{512}, std::size_t{513}, std::size_t{4096},
+                              std::size_t{60000}}) {
+    std::vector<std::uint64_t> keys = keys_of(random_vector(n, rng));
+    expect_top_keys_match_oracle(keys, t, "index order");
+    // Keys in no particular order, as a shard's candidates arrive.
+    for (std::size_t i = n; i > 1; --i) std::swap(keys[i - 1], keys[rng.uniform_u64(i)]);
+    expect_top_keys_match_oracle(keys, t, "shuffled");
+  }
+}
+
+TEST(TopKeys, EqualMagnitudesAndIdenticalKeysStayLinearithmic) {
+  // One magnitude: the keys differ only in the index word. Identical keys:
+  // the whole input is one bucket, which must be sorted, not insertion-
+  // sorted (60,000² steps would take seconds here).
+  TopKeys t;
+  std::vector<float> v(60000);
+  for (std::size_t i = 0; i < v.size(); ++i) v[i] = i % 3 == 0 ? -0.75f : 0.75f;
+  expect_top_keys_match_oracle(keys_of(v), t, "equal magnitudes");
+  const std::vector<std::uint64_t> same(60000, make_key(0.75f, 42));
+  expect_top_keys_match_oracle(same, t, "identical keys");
+}
+
+TEST(TopKeys, SpecialValuesRankAsKeysHSays) {
+  // ±0, subnormals, ±inf and NaN mixed into ordinary values. NaN's bits
+  // rank above inf's; -0 and +0 tie on magnitude and break on index.
+  util::Rng rng(203);
+  const float inf = std::numeric_limits<float>::infinity();
+  const float specials[] = {0.0f,
+                            -0.0f,
+                            std::numeric_limits<float>::denorm_min(),
+                            -std::numeric_limits<float>::denorm_min(),
+                            std::numeric_limits<float>::min() / 3.0f,
+                            inf,
+                            -inf,
+                            std::numeric_limits<float>::quiet_NaN(),
+                            -std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::max()};
+  TopKeys t;
+  for (const std::size_t n : {std::size_t{300}, std::size_t{4096}}) {
+    std::vector<float> v = random_vector(n, rng);
+    for (std::size_t i = 0; i < n; i += 5) v[i] = specials[rng.uniform_u64(std::size(specials))];
+    expect_top_keys_match_oracle(keys_of(v), t, "specials");
+    top_keys_desc(keys_of(v), 1, t);
+    EXPECT_TRUE(std::isnan(v[key_index(t.out[0])])) << "NaN must rank first, n=" << n;
+  }
+}
+
+TEST(TopKeys, MagnitudesSpanningTheExponentRange) {
+  util::Rng rng(205);
+  std::vector<float> v(60000);
+  for (float& x : v) {
+    const int e = static_cast<int>(rng.uniform_int(-149, 127));
+    x = std::ldexp(static_cast<float>(rng.uniform(1.0, 2.0)), e);
+    if (!std::isfinite(x)) x = std::numeric_limits<float>::max();
+    if (rng.uniform() < 0.5) x = -x;
+  }
+  TopKeys t;
+  expect_top_keys_match_oracle(keys_of(v), t, "exponent range");
+}
+
+TEST(TopKeys, DuplicateKeysComeOutAdjacent) {
+  // FAB's fill: two clients can offer the same index with the same |v|,
+  // giving bit-identical keys. They must come out next to each other (the
+  // fill's first-occurrence dedup relies on it), as a full sort places them.
+  util::Rng rng(207);
+  TopKeys t;
+  for (const std::size_t distinct : {std::size_t{100}, std::size_t{3000}}) {
+    const std::vector<std::uint64_t> base = keys_of(random_vector(distinct, rng));
+    std::vector<std::uint64_t> keys;
+    for (const std::uint64_t key : base) {
+      for (std::uint64_t c = rng.uniform_u64(3) + 1; c > 0; --c) keys.push_back(key);
+    }
+    for (std::size_t i = keys.size(); i > 1; --i) std::swap(keys[i - 1], keys[rng.uniform_u64(i)]);
+    expect_top_keys_match_oracle(keys, t, "duplicates");
   }
 }
 
