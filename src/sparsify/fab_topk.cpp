@@ -13,17 +13,19 @@ namespace fedsparse::sparsify {
 
 FabTopK::FabTopK(std::size_t dim) : pipe_(dim) {}
 
-// One round, with every O(N·k) server pass split into per-shard arena
-// passes plus a fixed-order serial combine. Why the outcome does not depend
-// on the shard count, phase by phase:
+// One round. Why each phase gives the same outcome at every shard count:
 //
 //  * κ — |∪_i J_i^κ| counts each uploaded index once, at its MIN prefix
-//    depth over all clients. Min is commutative/associative, so per-shard
-//    minima min-merged in fixed shard order give the same per-index depth,
-//    the same growth histogram, the same κ.
-//  * J — as a set, J is {min depth < κ}, read off the merged depth map. Its
-//    order is never observable: the update is index-sorted at the end and
-//    resets/contributions test only membership.
+//    depth over all clients. One serial depth-major walk (depth 0 of every
+//    upload, then depth 1, ...) meets every index first at that min depth,
+//    so the union after depth j is |∪_i J_i^{j+1}| and its growth per depth
+//    is the histogram the derived probe reads. The walk stops after the
+//    first depth whose union exceeds k: nothing deeper can change κ or the
+//    fill. It reads at most (κ+1)·N entries, not N·k, and depends on no
+//    shard plan.
+//  * J — the κ-prefix union is the walk's first-sight list before the exit
+//    depth. Its order is never observable: the update is index-sorted at the
+//    end and resets/contributions test only membership.
 //  * Fill — the (κ+1)-th candidates, strongest (|v| desc, index asc) first,
 //    walked with first-occurrence index dedup until |J| = k. Per shard:
 //    sort the shard's candidates as 64-bit keys (the identical total
@@ -56,104 +58,82 @@ RoundOutcome FabTopK::round(const RoundInput& in, std::size_t k) {
   const std::span<const double> weights = pipe_.validate_uploads(in, out);
   if (out.validation.degraded) return out;
 
-  // Per-shard min prefix depth of every index the shard saw.
+  // The κ walk in shard arena 0: aux = an index's min prefix depth, touched
+  // = the union in first-sight order, union_growth_[j] = the indices first
+  // seen at depth j. κ is the largest depth count whose union fits in k
+  // (never below ⌊k/N⌋, the fairness guarantee); J starts as that union.
   std::vector<ShardArena>& arenas = pipe_.arenas(S);
-  for_each_shard(pool, S, [&](std::size_t s) {
-    ShardArena& ar = arenas[s];
-    const std::uint32_t tok = ar.begin_pass(dim);
-    ar.touched.clear();
-    for (std::size_t j = 0; j < k; ++j) {
-      for (std::size_t i = plan.begin(s); i < plan.end(s); ++i) {
-        const auto& up = uploads[i];
-        if (up.size() <= j) continue;
-        const auto idx = static_cast<std::size_t>(up[j].index);
-        if (ar.stamp[idx] != tok) {
-          ar.stamp[idx] = tok;
-          ar.aux[idx] = static_cast<std::uint32_t>(j);
-          ar.touched.push_back(up[j].index);
-        }
-      }
-    }
-  });
-
-  // Fixed-order min-merge of shards 1..S-1 into shard 0's arena, which then
-  // maps every uploaded index to its global min prefix depth (aux) and lists
-  // the union in `touched`. growth[j] = number of indices first appearing at
-  // prefix depth j+1, so |∪_i J_i^κ| = growth[0] + … + growth[κ-1]; the walk
-  // returns the largest κ with size ≤ k (never below ⌊k/N⌋, the fairness
-  // guarantee).
   ShardArena& all = arenas[0];
-  for (std::size_t s = 1; s < S; ++s) {
-    const ShardArena& ar = arenas[s];
-    for (const std::int32_t j : ar.touched) {
-      const auto idx = static_cast<std::size_t>(j);
-      const std::uint32_t d = ar.aux[idx];
-      if (all.stamp[idx] != all.token) {
-        all.stamp[idx] = all.token;
-        all.aux[idx] = d;
-        all.touched.push_back(j);
-      } else if (d < all.aux[idx]) {
-        all.aux[idx] = d;
-      }
-    }
-  }
-  union_growth_.assign(k, 0);
-  for (const std::int32_t j : all.touched) ++union_growth_[all.aux[static_cast<std::size_t>(j)]];
-  std::size_t size = 0, kappa = 0;
-  for (std::size_t j = 0; j < k; ++j) {
-    size += union_growth_[j];
-    if (size > k) break;
-    kappa = j + 1;
-  }
-
-  // J as the in_j stamp set: the κ-prefix union, then the fill below.
   std::uint32_t* stamp = pipe_.stamp();
   const std::uint32_t in_j = pipe_.next_token();
-  std::size_t selected = 0;
-  for (const std::int32_t j : all.touched) {
-    const auto idx = static_cast<std::size_t>(j);
-    if (all.aux[idx] < kappa) {
-      stamp[idx] = in_j;
-      ++selected;
+  std::size_t selected = 0, kappa = 0;
+  {
+    FEDSPARSE_SPAN("pipeline_kappa");
+    std::size_t depth_end = 0;
+    for (const SparseVector& up : uploads) depth_end = std::max(depth_end, up.size());
+    depth_end = std::min(depth_end, k);
+    const std::uint32_t tok = all.begin_pass(dim);
+    all.touched.clear();
+    union_growth_.assign(k, 0);
+    for (std::size_t j = 0; j < depth_end; ++j) {
+      for (const SparseVector& up : uploads) {
+        if (up.size() <= j) continue;
+        const auto idx = static_cast<std::size_t>(up[j].index);
+        if (all.stamp[idx] != tok) {
+          all.stamp[idx] = tok;
+          all.aux[idx] = static_cast<std::uint32_t>(j);
+          all.touched.push_back(up[j].index);
+        }
+      }
+      union_growth_[j] = all.touched.size() - selected;
+      if (all.touched.size() > k) break;
+      selected = all.touched.size();
+      kappa = j + 1;
+    }
+    for (std::size_t p = 0; p < selected; ++p) {
+      stamp[static_cast<std::size_t>(all.touched[p])] = in_j;
     }
   }
 
-  if (selected < k) {
-    const std::size_t need = k - selected;
-    for_each_shard(pool, S, [&](std::size_t s) {
-      ShardArena& ar = arenas[s];
-      ar.keys.clear();
-      for (std::size_t i = plan.begin(s); i < plan.end(s); ++i) {
-        const auto& up = uploads[i];
-        if (up.size() > kappa) {
-          const auto& e = up[kappa];
-          if (stamp[static_cast<std::size_t>(e.index)] != in_j) {
-            ar.keys.push_back(make_key(e.value, static_cast<std::size_t>(e.index)));
+  {
+    FEDSPARSE_SPAN("pipeline_fill");
+    if (selected < k) {
+      const std::size_t need = k - selected;
+      for_each_shard(pool, S, [&](std::size_t s) {
+        ShardArena& ar = arenas[s];
+        ar.keys.clear();
+        for (std::size_t i = plan.begin(s); i < plan.end(s); ++i) {
+          const auto& up = uploads[i];
+          if (up.size() > kappa) {
+            const auto& e = up[kappa];
+            if (stamp[static_cast<std::size_t>(e.index)] != in_j) {
+              ar.keys.push_back(make_key(e.value, static_cast<std::size_t>(e.index)));
+            }
           }
         }
-      }
-      top_keys_desc(ar.keys, ar.keys.size(), ar.top);
-      std::vector<std::uint64_t>& run = ar.top.out;
-      const std::uint32_t tok = ar.begin_pass(dim);
-      std::size_t kept = 0;
-      for (const std::uint64_t key : run) {
+        top_keys_desc(ar.keys, ar.keys.size(), ar.top);
+        std::vector<std::uint64_t>& run = ar.top.out;
+        const std::uint32_t tok = ar.begin_pass(dim);
+        std::size_t kept = 0;
+        for (const std::uint64_t key : run) {
+          const std::size_t idx = key_index(key);
+          if (ar.stamp[idx] == tok) continue;
+          ar.stamp[idx] = tok;
+          run[kept++] = key;
+          if (kept == need) break;
+        }
+        run.resize(kept);
+      });
+      std::size_t total_fill = 0;
+      for (std::size_t s = 0; s < S; ++s) total_fill += arenas[s].top.out.size();
+      const auto merged = pipe_.merge_arena_keys(S, total_fill);
+      for (const std::uint64_t key : merged) {
+        if (selected >= k) break;
         const std::size_t idx = key_index(key);
-        if (ar.stamp[idx] == tok) continue;
-        ar.stamp[idx] = tok;
-        run[kept++] = key;
-        if (kept == need) break;
-      }
-      run.resize(kept);
-    });
-    std::size_t total_fill = 0;
-    for (std::size_t s = 0; s < S; ++s) total_fill += arenas[s].top.out.size();
-    const auto merged = pipe_.merge_arena_keys(S, total_fill);
-    for (const std::uint64_t key : merged) {
-      if (selected >= k) break;
-      const std::size_t idx = key_index(key);
-      if (stamp[idx] != in_j) {
-        stamp[idx] = in_j;
-        ++selected;
+        if (stamp[idx] != in_j) {
+          stamp[idx] = in_j;
+          ++selected;
+        }
       }
     }
   }
@@ -178,11 +158,15 @@ RoundOutcome FabTopK::round(const RoundInput& in, std::size_t k) {
 //
 //  * κ′ — round(in, k′) sees only prefix depths < k′, and an index's min
 //    depth below k′ is the same in both rounds, so its growth histogram is
-//    this round's truncated to k′. The walk is O(k′).
-//  * J′ — the depth-<κ′ prefix union (κ′ ≤ κ, so inside J; the round's depth
-//    map in arena 0 still holds every J member's min depth), then the fill
-//    from each client's entry at depth κ′, strongest first, first-occurrence
-//    dedup. The fill is N keys, so it runs serially.
+//    this round's truncated to k′. The round recorded growth through its
+//    exit depth, where the union first exceeded k > k′, so this walk stops
+//    at or before that depth (κ′ ≤ κ) and never reads past what was
+//    recorded. The walk is O(κ′).
+//  * J′ — the depth-<κ′ prefix union (inside J), then the fill from each
+//    client's entry at depth κ′, strongest first, first-occurrence dedup.
+//    Every J member sits at depth ≤ κ of some upload, all of which the
+//    round's walk visited, so arena 0's aux still holds its min depth. The
+//    fill is N keys, so it runs serially.
 //  * Sums and order — see RoundPipeline::emit_probe_update.
 RoundOutcome FabTopK::probe_round(const RoundInput& in, std::size_t k) {
   k = std::clamp<std::size_t>(k, 1, pipe_.dim());

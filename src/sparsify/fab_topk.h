@@ -5,8 +5,9 @@
 // exactly k downlink elements such that every client contributes at least
 // ⌊k/N⌋ of them:
 //
-//   1. binary-search the largest per-client prefix length κ with
-//      |∪_i J_i^κ| ≤ k  (J_i^κ = client i's κ strongest uploaded indices);
+//   1. find the largest per-client prefix length κ with |∪_i J_i^κ| ≤ k
+//      (J_i^κ = client i's κ strongest uploaded indices) by walking the
+//      uploads depth by depth, stopping at the first depth that overflows;
 //   2. J ← ∪_i J_i^κ, then fill up to k with the strongest entries of
 //      (∪_i J_i^{κ+1}) \ J;
 //   3. aggregate b_j = Σ_i (C_i/C)·a_ij·1[j ∈ J_i] for j ∈ J;
@@ -53,8 +54,10 @@ class FabTopK final : public Method {
 
  private:
   RoundPipeline pipe_;
-  // The κ search's union-growth histogram (reused; steady-state rounds
-  // allocate nothing). A derived probe reads the last round's.
+  // The κ walk's union-growth histogram: the indices first seen at each
+  // depth, recorded through the walk's exit depth and zero beyond (reused;
+  // steady-state rounds allocate nothing). A derived probe reads the last
+  // round's.
   std::vector<std::size_t> union_growth_;
   // A derived probe's fill candidates, and the same sorted strongest first.
   std::vector<std::uint64_t> probe_keys_;

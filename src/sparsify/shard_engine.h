@@ -4,13 +4,12 @@
 // per-thread fleets ("shards"). Each shard works in its own arena — stamps,
 // candidate key runs, scatter cursors — so the parallel phases never share a
 // mutable cache line, and every cross-shard combine step is a fixed-order
-// serial reduction (tree merge of sorted key runs, min-merge of prefix
-// depths, prefix sums of counts). That fixed order is what makes the engine
-// deterministic: the outcome is bit-identical at every shard count, because
-// each combining operator either is exactly the reference loop re-ordered
-// over a partition it is invariant to (min, counting, membership) or
-// reproduces the reference's float addition sequence verbatim (the
-// bucket-major aggregation below).
+// serial reduction (tree merge of sorted key runs, prefix sums of counts).
+// That fixed order is what makes the engine deterministic: the outcome is
+// bit-identical at every shard count, because each combining operator either
+// is exactly the reference loop re-ordered over a partition it is invariant
+// to (counting, membership) or reproduces the reference's float addition
+// sequence verbatim (the bucket-major aggregation below).
 //
 // Three pieces live here, shared by the top-k methods' sharded paths:
 //

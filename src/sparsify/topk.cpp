@@ -106,18 +106,19 @@ namespace {
 // Estimates an |value| threshold from a strided sample such that roughly
 // 2.5*k of the D entries survive, then keeps only entries >= threshold.
 // Returns false when fewer than k survive (threshold overshot) — the caller
-// falls back to scanning everything. Exactness: if >= k entries pass the
+// falls back to scanning everything — and, without sampling, when 2.5*k >= D:
+// the filter would keep almost every entry, so the dense collection is the
+// same work without the sampling pass. Exactness: if >= k entries pass the
 // filter, the k-th largest |v| overall is >= threshold, so every true top-k
 // entry passed the filter too.
 bool prefilter(std::span<const float> v, std::size_t k, std::span<const float> chunk_max,
                std::vector<std::uint64_t>& keys) {
+  if (5 * k >= 2 * v.size()) return false;
   float sample[kSampleSize];
   const std::size_t stride = v.size() / kSampleSize;
   for (std::size_t s = 0; s < kSampleSize; ++s) sample[s] = std::fabs(v[s * stride]);
-  const double frac =
-      std::min(1.0, 2.5 * static_cast<double>(k) / static_cast<double>(v.size()));
-  const auto rank = std::min<std::size_t>(
-      kSampleSize - 1, static_cast<std::size_t>(frac * static_cast<double>(kSampleSize)));
+  const double frac = 2.5 * static_cast<double>(k) / static_cast<double>(v.size());
+  const auto rank = static_cast<std::size_t>(frac * static_cast<double>(kSampleSize));
   std::nth_element(sample, sample + rank, sample + kSampleSize, std::greater<float>());
   const float threshold = sample[rank];
   // A zero threshold admits every entry (|v| >= 0 always holds) — e.g. a

@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <set>
 
 #include "data/synthetic.h"
@@ -16,6 +15,7 @@
 #include "nn/models.h"
 #include "online/extended_sign_ogd.h"
 #include "online/sign_ogd.h"
+#include "fab_reference.h"
 #include "sparsify/fab_topk.h"
 #include "sparsify/topk.h"
 #include "util/rng.h"
@@ -25,84 +25,9 @@ namespace {
 
 // ------------- reference implementation of the paper's Algorithm 1 ---------
 //
-// A direct, unoptimized transcription of Section III-B: sort-based top-k,
-// linear κ scan instead of binary search, std::set unions, std::map
-// aggregation. Used as an oracle for the production FabTopK.
-
-struct ReferenceResult {
-  std::map<std::int32_t, double> downlink;           // j -> b_j
-  std::vector<std::set<std::int32_t>> reset;         // per client J ∩ J_i
-};
-
-ReferenceResult reference_fab_topk(const std::vector<std::vector<float>>& a,
-                                   const std::vector<double>& weights, std::size_t k) {
-  const std::size_t n = a.size();
-  // Client uploads: top-k of |a_i|, sorted strongest first (ties: low index).
-  std::vector<std::vector<std::pair<std::int32_t, float>>> uploads(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    std::vector<std::pair<std::int32_t, float>> all;
-    for (std::size_t j = 0; j < a[i].size(); ++j) {
-      all.emplace_back(static_cast<std::int32_t>(j), a[i][j]);
-    }
-    std::stable_sort(all.begin(), all.end(), [](const auto& x, const auto& y) {
-      const float ax = std::fabs(x.second), ay = std::fabs(y.second);
-      if (ax != ay) return ax > ay;
-      return x.first < y.first;
-    });
-    all.resize(std::min(k, all.size()));
-    uploads[i] = std::move(all);
-  }
-
-  // Linear scan for the largest κ with |∪ J_i^κ| <= k.
-  const auto union_at = [&](std::size_t kappa) {
-    std::set<std::int32_t> u;
-    for (const auto& up : uploads) {
-      for (std::size_t j = 0; j < std::min(kappa, up.size()); ++j) u.insert(up[j].first);
-    }
-    return u;
-  };
-  std::size_t kappa = 0;
-  for (std::size_t c = 1; c <= k; ++c) {
-    if (union_at(c).size() <= k) {
-      kappa = c;
-    } else {
-      break;
-    }
-  }
-  std::set<std::int32_t> selected = union_at(kappa);
-
-  // Fill with the strongest elements of (∪J^{κ+1}) \ (∪J^κ).
-  std::vector<std::pair<std::int32_t, float>> candidates;
-  for (const auto& up : uploads) {
-    if (up.size() > kappa && !selected.count(up[kappa].first)) {
-      candidates.push_back(up[kappa]);
-    }
-  }
-  std::stable_sort(candidates.begin(), candidates.end(), [](const auto& x, const auto& y) {
-    const float ax = std::fabs(x.second), ay = std::fabs(y.second);
-    if (ax != ay) return ax > ay;
-    return x.first < y.first;
-  });
-  for (const auto& [idx, value] : candidates) {
-    (void)value;
-    if (selected.size() >= k) break;
-    selected.insert(idx);
-  }
-
-  // Aggregate b_j = Σ_i w_i a_ij 1[j ∈ J_i]; record resets.
-  ReferenceResult out;
-  out.reset.resize(n);
-  for (const std::int32_t j : selected) out.downlink[j] = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    for (const auto& [idx, value] : uploads[i]) {
-      if (selected.count(idx)) {
-        out.downlink[idx] += weights[i] * static_cast<double>(value);
-        out.reset[i].insert(idx);
-      }
-    }
-  }
-  return out;
-}
+// reference::fab_topk (tests/fab_reference.h) is a direct, unoptimized
+// transcription of Section III-B: heap top-k, a linear κ scan, std::set
+// unions, std::map aggregation. Used as an oracle for the production FabTopK.
 
 TEST(FabTopKReference, OptimizedMatchesBruteForceAcrossRandomInstances) {
   util::Rng rng(2024);
@@ -123,7 +48,7 @@ TEST(FabTopKReference, OptimizedMatchesBruteForceAcrossRandomInstances) {
     }
     for (auto& w : weights) w /= total;
 
-    const auto ref = reference_fab_topk(a, weights, k);
+    const auto ref = reference::fab_topk(a, weights, k);
 
     sparsify::RoundInput in;
     in.dim = dim;

@@ -13,6 +13,7 @@
 #include <string>
 #include <unordered_set>
 
+#include "fab_reference.h"
 #include "reference_kernels.h"
 #include "sparsify/accumulator.h"
 #include "sparsify/fab_topk.h"
@@ -715,6 +716,48 @@ TEST(TopK, ChunkAwareRejectsMismatchedSummary) {
                std::invalid_argument);
 }
 
+// From 2.5·k >= D on the sampled prefilter would keep almost every entry, so
+// the selection goes straight to the dense collection. Just below (0.39·D)
+// and above that line, with and without chunk summaries and with a hint
+// from another depth, the uploads equal a sort-then-truncate oracle.
+TEST(TopK, LargeKSelectionMatchesSortOracle) {
+  util::Rng rng(71);
+  const std::size_t d = 20000;
+  for (const bool with_zeros : {false, true}) {
+    std::vector<float> v = random_vector(d, rng);
+    if (with_zeros) {
+      for (std::size_t i = 0; i < d; i += 3) v[i] = 0.0f;
+    }
+    GradientAccumulator acc(d);
+    acc.add({v.data(), d});
+    std::vector<std::int32_t> order(d);
+    std::iota(order.begin(), order.end(), 0);
+    std::sort(order.begin(), order.end(), [&v](std::int32_t a, std::int32_t b) {
+      const float fa = std::fabs(v[static_cast<std::size_t>(a)]);
+      const float fb = std::fabs(v[static_cast<std::size_t>(b)]);
+      return fa != fb ? fa > fb : a < b;
+    });
+    TopKWorkspace ws_dense, ws_tiered;
+    SparseVector got_dense, got_tiered;
+    for (const std::size_t k : {d * 39 / 100, d * 2 / 5, d * 3 / 5, d - 1, d / 10}) {
+      const std::string label = "zeros " + std::to_string(with_zeros) + " k=" + std::to_string(k);
+      SparseVector want(k);
+      for (std::size_t p = 0; p < k; ++p) {
+        want[p] = SparseEntry{order[p], v[static_cast<std::size_t>(order[p])]};
+      }
+      TopKWorkspace fresh;
+      SparseVector got;
+      top_k_entries({v.data(), d}, k, fresh, got);
+      EXPECT_EQ(got, want) << label;
+      // The persistent workspaces carry the previous depth's hint.
+      top_k_entries(acc.value(), k, ws_dense, got_dense);
+      EXPECT_EQ(got_dense, want) << label << " hinted";
+      top_k_entries(acc.value(), acc.chunk_max(), k, ws_tiered, got_tiered);
+      EXPECT_EQ(got_tiered, want) << label << " chunk-aware";
+    }
+  }
+}
+
 // -------------------------------------------------------------- FAB-top-k --
 
 // Hash-set κ oracle: given per-client uploads sorted strongest-first, the
@@ -1108,6 +1151,228 @@ TEST(FabTopKProbe, ProbeKeepsSelectionHints) {
       }
     }
   }
+}
+
+// ------------------------------------------------- FAB κ walk, early exit ---
+//
+// Scenes built so κ spans ⌊k/N⌋ .. k. Client i ranks [0, D) in its own order
+// and holds magnitude D − r at rank r, so its upload is that order's first k
+// entries (shorter where a tamper cuts it). Integer magnitudes and dyadic
+// weights make every sum exact in float, so the reference's double sums
+// compare bitwise. κ is pinned on the reference (the scene is built to have
+// it); J, the resets and the update pin FabTopK against the reference.
+
+struct ExitScene {
+  std::size_t dim = 256, k = 40;
+  std::vector<std::vector<std::int32_t>> ranks;  // per client: indices, strongest first
+  std::vector<std::size_t> upload_len;           // per client cut; empty = uncut
+};
+
+// A ranking of [0, dim): `head` first, then the remaining indices shuffled.
+std::vector<std::int32_t> ranking(std::size_t dim, std::vector<std::int32_t> head,
+                                  util::Rng& rng) {
+  std::vector<char> used(dim, 0);
+  for (const std::int32_t j : head) used[static_cast<std::size_t>(j)] = 1;
+  std::vector<std::int32_t> rest;
+  for (std::size_t j = 0; j < dim; ++j) {
+    if (used[j] == 0) rest.push_back(static_cast<std::int32_t>(j));
+  }
+  rng.shuffle(rest);
+  head.insert(head.end(), rest.begin(), rest.end());
+  return head;
+}
+
+// Client i's k strongest indices are the block [b·k, (b+1)·k), b = N − 1 − i,
+// shuffled: equal-magnitude fill candidates then favour the clients the walk
+// meets last at the exit depth.
+std::vector<std::vector<std::int32_t>> disjoint_ranks(std::size_t n, std::size_t dim,
+                                                      std::size_t k, util::Rng& rng) {
+  std::vector<std::vector<std::int32_t>> ranks;
+  for (std::size_t i = 0; i < n; ++i) {
+    std::vector<std::int32_t> head(k);
+    std::iota(head.begin(), head.end(), static_cast<std::int32_t>((n - 1 - i) * k));
+    rng.shuffle(head);
+    ranks.push_back(ranking(dim, std::move(head), rng));
+  }
+  return ranks;
+}
+
+// Every client's strongest `pool` entries are its own shuffle of [0, pool).
+std::vector<std::vector<std::int32_t>> overlapping_ranks(std::size_t n, std::size_t dim,
+                                                         std::size_t pool, util::Rng& rng) {
+  std::vector<std::vector<std::int32_t>> ranks;
+  for (std::size_t i = 0; i < n; ++i) {
+    std::vector<std::int32_t> head(pool);
+    std::iota(head.begin(), head.end(), 0);
+    rng.shuffle(head);
+    ranks.push_back(ranking(dim, std::move(head), rng));
+  }
+  return ranks;
+}
+
+// |∪_i (client i's first c ranked indices)|.
+std::size_t prefix_union(const std::vector<std::vector<std::int32_t>>& ranks, std::size_t c) {
+  std::set<std::int32_t> u;
+  for (const auto& r : ranks) u.insert(r.begin(), r.begin() + static_cast<std::ptrdiff_t>(c));
+  return u.size();
+}
+
+// Pure in (round, client, payload): cuts client i's upload to len[i].
+class CuttingTamper final : public UploadTamper {
+ public:
+  explicit CuttingTamper(std::vector<std::size_t> len) : len_(std::move(len)) {}
+  void apply(std::size_t, std::size_t client_id, SparseVector& payload) const override {
+    payload.resize(std::min(payload.size(), len_[client_id]));
+  }
+
+ private:
+  std::vector<std::size_t> len_;
+};
+
+// FabTopK::round against reference::fab_topk_from_uploads at shards 1 and 8,
+// then probe_round(in, k′) against a fresh round(in, k′) for k′ ∈ {1,
+// ⌊k/N⌋, κ, k − 1}. Returns the reference's κ.
+std::size_t expect_round_matches_reference(const ExitScene& sc) {
+  const std::size_t n = sc.ranks.size(), dim = sc.dim, k = sc.k;
+  std::vector<std::vector<float>> vecs(n, std::vector<float>(dim));
+  std::vector<double> weights(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t r = 0; r < dim; ++r) {
+      const float mag = static_cast<float>(dim - r);
+      vecs[i][static_cast<std::size_t>(sc.ranks[i][r])] = r % 2 == 0 ? mag : -mag;
+    }
+    weights[i] = std::ldexp(1.0, -static_cast<int>(std::min(i + 1, n - 1)));
+  }
+  const CuttingTamper tamper(sc.upload_len);
+
+  std::vector<SparseVector> uploads;
+  for (std::size_t i = 0; i < n; ++i) {
+    uploads.push_back(reference::top_k_entries_heap({vecs[i].data(), dim}, k));
+    if (!sc.upload_len.empty()) tamper.apply(1, i, uploads.back());
+  }
+  const reference::FabTopKResult ref = reference::fab_topk_from_uploads(uploads, weights, k);
+
+  util::ThreadPool pool(3);
+  for (const std::size_t shards : {1u, 8u}) {
+    if (shards > 1) tensor::set_parallel_pool(&pool);
+    const std::string label = "shards " + std::to_string(shards);
+    InputHolder h = make_input(vecs, weights);
+    if (!sc.upload_len.empty()) h.in.tamper = &tamper;
+    FabTopK a(dim);
+    a.set_sharding(shards);
+    const RoundOutcome out = a.round(h, k);
+
+    EXPECT_EQ(out.update.size(), ref.downlink.size()) << label;
+    auto want = ref.downlink.begin();
+    for (std::size_t p = 0; p < out.update.size() && want != ref.downlink.end(); ++p, ++want) {
+      EXPECT_EQ(out.update[p].index, want->first) << label << " entry " << p;
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(out.update[p].value),
+                std::bit_cast<std::uint32_t>(static_cast<float>(want->second)))
+          << label << " entry " << p;
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto got = out.reset_for(i);
+      EXPECT_EQ(std::set<std::int32_t>(got.begin(), got.end()), ref.reset[i])
+          << label << " client " << i;
+    }
+
+    for (const std::size_t kp : {std::size_t{1}, k / n, ref.kappa, k - 1}) {
+      const std::string at = label + " k' " + std::to_string(kp);
+      FabTopK b(dim);
+      b.set_sharding(shards);
+      const RoundOutcome probe = a.probe_round(h, kp);
+      const RoundOutcome fresh = b.round(h, kp);
+      const bool derived = sc.upload_len.empty() && std::max<std::size_t>(kp, 1) < k;
+      EXPECT_EQ(probe.contributed.empty(), derived) << at;
+      expect_same_update(probe.update, fresh.update, at);
+    }
+    tensor::set_parallel_pool(nullptr);
+  }
+  return ref.kappa;
+}
+
+// Every client uploads the same top-k: the union never outgrows k, so the
+// walk visits every depth and κ = k.
+TEST(FabTopKEarlyExit, IdenticalUploadsWalkEveryDepth) {
+  util::Rng rng(61);
+  ExitScene sc;
+  sc.ranks.assign(4, ranking(sc.dim, {}, rng));
+  EXPECT_EQ(expect_round_matches_reference(sc), sc.k);
+}
+
+// Pairwise-disjoint uploads grow the union by N per depth: κ = ⌊k/N⌋, and
+// the fill picks k mod N of the N equal-magnitude depth-κ candidates.
+TEST(FabTopKEarlyExit, DisjointUploadsExitAtTheFairnessFloor) {
+  util::Rng rng(62);
+  ExitScene sc;
+  sc.k = 42;
+  sc.ranks = disjoint_ranks(4, sc.dim, sc.k, rng);
+  EXPECT_EQ(expect_round_matches_reference(sc), sc.k / 4);
+}
+
+// k equals the union at depth κ, which the next depth overflows: the walk
+// exits there, J is exactly the prefix union and nothing is filled. Once
+// with overlapping uploads, once with disjoint ones (k = N·κ).
+TEST(FabTopKEarlyExit, UnionReachesKExactlyAtTheExitDepth) {
+  util::Rng rng(63);
+  ExitScene sc;
+  sc.ranks = overlapping_ranks(4, sc.dim, 64, rng);
+  std::size_t kappa = 0;
+  while (prefix_union(sc.ranks, kappa + 1) <= 40) ++kappa;
+  sc.k = prefix_union(sc.ranks, kappa);
+  ASSERT_GT(prefix_union(sc.ranks, kappa + 1), sc.k);
+  EXPECT_EQ(expect_round_matches_reference(sc), kappa);
+
+  sc.k = 40;
+  sc.ranks = disjoint_ranks(4, sc.dim, sc.k, rng);
+  EXPECT_EQ(expect_round_matches_reference(sc), 10u);
+}
+
+// Two of four disjoint uploads cut to 3 and 5 entries: the union at depth c
+// is 2c + min(c, 3) + min(c, 5), 40 at c = 16 and 42 at c = 17, so κ = 16
+// and one of the two depth-16 candidates fills J to k = 41.
+TEST(FabTopKEarlyExit, ShortUploadsStopGrowingTheUnion) {
+  util::Rng rng(64);
+  ExitScene sc;
+  sc.k = 41;
+  sc.ranks = disjoint_ranks(4, sc.dim, sc.k, rng);
+  sc.upload_len = {sc.k, 3, sc.k, 5};
+  EXPECT_EQ(expect_round_matches_reference(sc), 16u);
+}
+
+// Every upload shorter than k. With 23 entries in all the union never
+// outgrows k: the walk ends at the longest upload and κ is k. With four
+// 20-entry uploads it overflows k = 42 at depth 11: κ = 10 and a fill of 2.
+TEST(FabTopKEarlyExit, AllUploadsShorterThanK) {
+  util::Rng rng(65);
+  ExitScene sc;
+  sc.ranks = disjoint_ranks(4, sc.dim, sc.k, rng);
+  sc.upload_len = {5, 9, 2, 7};
+  EXPECT_EQ(expect_round_matches_reference(sc), sc.k);
+
+  sc.k = 42;
+  sc.ranks = disjoint_ranks(4, sc.dim, sc.k, rng);
+  sc.upload_len.assign(4, 20);
+  EXPECT_EQ(expect_round_matches_reference(sc), 10u);
+}
+
+// One client: its upload is J, κ = k.
+TEST(FabTopKEarlyExit, SingleClient) {
+  util::Rng rng(66);
+  ExitScene sc;
+  sc.ranks.push_back(ranking(sc.dim, {}, rng));
+  EXPECT_EQ(expect_round_matches_reference(sc), sc.k);
+}
+
+// Uploads drawn from a shared pool of 2k indices land κ strictly between
+// the two ends.
+TEST(FabTopKEarlyExit, PartialOverlapExitsBetweenTheEnds) {
+  util::Rng rng(67);
+  ExitScene sc;
+  sc.ranks = overlapping_ranks(4, sc.dim, 2 * sc.k, rng);
+  const std::size_t kappa = expect_round_matches_reference(sc);
+  EXPECT_GT(kappa, sc.k / 4);
+  EXPECT_LT(kappa, sc.k);
 }
 
 // ------------------------------------------------------------- baselines ---

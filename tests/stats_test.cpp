@@ -370,8 +370,12 @@ TEST(TelemetryExport, ChromeTraceHasOneSpanPerStagePerRound) {
     const std::string needle = std::string("\"name\":\"") + stage + "\",\"cat\":\"round\",\"ph\":\"X\"";
     EXPECT_EQ(count_occurrences(trace, needle), res.rounds_run) << stage;
   }
-  // The shared pipeline stages appear too (fab_topk routes through them).
-  EXPECT_GE(count_occurrences(trace, "\"name\":\"pipeline_aggregate\""), res.rounds_run);
+  // The shared pipeline stages appear too (fab_topk routes through them), and
+  // so do FAB's own κ walk and fill.
+  for (const char* stage : {"pipeline_aggregate", "pipeline_kappa", "pipeline_fill"}) {
+    const std::string needle = std::string("\"name\":\"") + stage + "\"";
+    EXPECT_GE(count_occurrences(trace, needle), res.rounds_run) << stage;
+  }
 
   const std::string jsonl = slurp(on.metrics_jsonl_path);
   ASSERT_FALSE(jsonl.empty());
