@@ -1,5 +1,6 @@
 #include "fl/replay.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <stdexcept>
@@ -270,7 +271,19 @@ ReplayLog ReplayLog::load(const std::string& path) {
 
 ReplayResult replay(const ReplayLog& log, std::size_t shards) {
   check_header(log.dim, log.fleet);
-  for (const ReplayRound& r : log.rounds) check_round(r, log.dim, log.fleet);
+  for (const ReplayRound& r : log.rounds) {
+    check_round(r, log.dim, log.fleet);
+    // check_round bounds n by the fleet (≤ 2^32) and dim ≤ 2^31, so the
+    // product cannot wrap. The cap holds before the method or the round's
+    // vectors are allocated.
+    const std::uint64_t n = r.client_ids.size();
+    if (std::max<std::uint64_t>(n, 1) * log.dim > kReplayMaxDenseFloats) {
+      throw std::runtime_error("replay log: round " + std::to_string(r.round) + " needs " +
+                               std::to_string(n) + " clients x dim " + std::to_string(log.dim) +
+                               " dense floats, above the cap of " +
+                               std::to_string(kReplayMaxDenseFloats));
+    }
+  }
   auto method = sparsify::make_method(log.method, log.dim, log.seed);
   method->set_sharding(shards);
   method->set_validation(log.validation);

@@ -100,9 +100,15 @@ struct ReplayResult {
   std::vector<std::uint64_t> digests;
 };
 
+/// The most floats replay() rebuilds for one round's dense client vectors
+/// (n · dim, 1 GiB): a larger round is refused before anything is allocated.
+inline constexpr std::uint64_t kReplayMaxDenseFloats = std::uint64_t{1} << 28;
+
 /// Re-drives every recorded round through a fresh method instance at the
 /// given shard count and compares outcome digests against the log. Runs the
-/// same structural checks as ReplayLog::load first (std::runtime_error).
+/// same structural checks as ReplayLog::load first, and refuses a round
+/// whose max(n, 1) · dim floats exceed kReplayMaxDenseFloats — the method's
+/// own dim-sized arenas count as one vector (std::runtime_error).
 ReplayResult replay(const ReplayLog& log, std::size_t shards);
 
 }  // namespace fedsparse::fl

@@ -36,10 +36,10 @@ FabTopK::FabTopK(std::size_t dim) : pipe_(dim) {}
 //    globally — it can never be chosen). Tree-merging the runs restores the
 //    global candidate order; the final walk is serial.
 //  * Aggregation / resets — BucketAggregator reproduces the client-major
-//    float addition sequence per index (see shard_engine.h); CsrResetBuilder
-//    fills the client-major CSR lists over a contiguous partition. The
-//    builder runs FIRST: the aggregator re-stamps J's entries with its touch
-//    token, consuming the in_j membership the filter reads.
+//    float addition sequence per index (see shard_engine.h), and its fill
+//    pass writes the client-major CSR reset lists over a contiguous
+//    partition in the same sweep. Both read the in_j membership before the
+//    reduce re-stamps J's entries with its touch token.
 RoundOutcome FabTopK::round(const RoundInput& in, std::size_t k) {
   validate_round_input(in);
   const std::size_t n = in.client_vectors.size();
@@ -138,12 +138,10 @@ RoundOutcome FabTopK::round(const RoundInput& in, std::size_t k) {
     }
   }
 
-  const BucketAggregator::Filter filter{stamp, in_j};
-  pipe_.build_resets(S, pool, filter, out);
-  pipe_.aggregate(in, weights, S, pool, filter, out);
+  pipe_.aggregate(in, weights, S, pool, {stamp, in_j}, out, /*with_resets=*/true);
 
-  // Buckets are ascending disjoint index ranges, so per-bucket index sorts
-  // concatenate into the globally index-sorted update.
+  // Buckets are ascending disjoint index ranges with index-sorted touched
+  // lists, which concatenate into the globally index-sorted update.
   // Every j ∈ J has at least one uploader (prefix members and fill
   // candidates both come from uploads), so the aggregated set IS J.
   pipe_.emit_update_from_buckets(pool, out);

@@ -30,7 +30,8 @@ RoundOutcome FubTopK::round(const RoundInput& in, std::size_t k) {
   const std::span<const double> weights = pipe_.validate_uploads(in, out);
   if (out.validation.degraded) return out;
 
-  const BucketAggregator& aggregator = pipe_.aggregate(in, weights, S, pool, /*f=*/{}, out);
+  const BucketAggregator& aggregator =
+      pipe_.aggregate(in, weights, S, pool, /*f=*/{}, out, /*with_resets=*/false);
   float* agg = pipe_.agg();
 
   const std::size_t B = aggregator.buckets();

@@ -132,18 +132,19 @@ const BucketAggregator& RoundPipeline::aggregate(const RoundInput& in,
                                                  std::span<const double> weights,
                                                  std::size_t shards, util::ThreadPool* pool,
                                                  const BucketAggregator::Filter& f,
-                                                 RoundOutcome& out) {
+                                                 RoundOutcome& out, bool with_resets) {
+  RoundOutcome* resets = with_resets ? &out : nullptr;
   if (robust_cfg_.trivial()) {
     FEDSPARSE_SPAN("pipeline_aggregate");
     ++stamp_token_;
     aggregator_.run(uploads_, weights, dim_, shards, pool, f, agg_.data(), stamp_.data(),
-                    stamp_token_);
+                    stamp_token_, resets);
     return aggregator_;
   }
   FEDSPARSE_SPAN("pipeline_robust_aggregate");
   ++stamp_token_;
   aggregator_.run_robust(uploads_, weights, dim_, shards, pool, f, robust_cfg_, agg_.data(),
-                         stamp_.data(), stamp_token_, out.robust);
+                         stamp_.data(), stamp_token_, out.robust, resets);
 
   // Reputation pass: every contributing client scored by the cosine between
   // its upload and the robust aggregate restricted to the client's own
@@ -193,13 +194,12 @@ const BucketAggregator& RoundPipeline::aggregate(const RoundInput& in,
 void RoundPipeline::build_resets(std::size_t shards, util::ThreadPool* pool,
                                  const BucketAggregator::Filter& f, RoundOutcome& out) {
   FEDSPARSE_SPAN("pipeline_resets");
-  resets_.run(uploads_, shards, pool, f, out);
+  build_reset_lists(uploads_, shards, pool, f, out);
 }
 
 void RoundPipeline::emit_update_from_buckets(util::ThreadPool* pool, RoundOutcome& out) {
   FEDSPARSE_SPAN("pipeline_emit");
   const std::size_t B = aggregator_.buckets();
-  if (arenas_.size() < B) arenas_.resize(B);
   bucket_offsets_.resize(B + 1);
   bucket_offsets_[0] = 0;
   for (std::size_t b = 0; b < B; ++b) {
@@ -207,12 +207,8 @@ void RoundPipeline::emit_update_from_buckets(util::ThreadPool* pool, RoundOutcom
   }
   out.update.resize(bucket_offsets_[B]);
   for_each_shard(pool, B, [&](std::size_t b) {
-    ShardArena& ar = arenas_[b];
-    const auto touched = aggregator_.touched(b);
-    ar.touched.assign(touched.begin(), touched.end());
-    std::sort(ar.touched.begin(), ar.touched.end());
     std::size_t pos = bucket_offsets_[b];
-    for (const std::int32_t j : ar.touched) {
+    for (const std::int32_t j : aggregator_.touched(b)) {
       out.update[pos++] = SparseEntry{j, agg_[static_cast<std::size_t>(j)]};
     }
   });
@@ -263,12 +259,12 @@ bool RoundPipeline::derives_probe(const RoundInput& in, std::size_t k_probe) con
 
 std::size_t RoundPipeline::admit_probe_prefix(const std::uint32_t* depth, std::size_t cut,
                                               std::uint32_t token, util::ThreadPool* pool) {
-  // The emit stage left bucket b's index-sorted J in arenas_[b].touched.
+  // The round's aggregation left bucket b's J, index-sorted, in touched(b).
   const std::size_t B = aggregator_.buckets();
   probe_counts_.assign(B, 0);
   for_each_shard(pool, B, [&](std::size_t b) {
     std::size_t count = 0;
-    for (const std::int32_t j : arenas_[b].touched) {
+    for (const std::int32_t j : aggregator_.touched(b)) {
       const auto idx = static_cast<std::size_t>(j);
       if (depth[idx] < cut) {
         stamp_[idx] = token;
@@ -288,7 +284,7 @@ bool RoundPipeline::admit_probe_index(std::int32_t j, std::uint32_t token) {
   if (stamp_[idx] == token) return false;
   stamp_[idx] = token;
   agg_[idx] = 0.0f;
-  ++probe_counts_[bucket_of(j, probe_counts_.size(), dim_)];
+  ++probe_counts_[aggregator_.bucket_map()(j)];
   return true;
 }
 
@@ -317,7 +313,7 @@ void RoundPipeline::emit_probe_update(std::size_t k_probe, std::uint32_t token,
     // J′ ⊆ J, so the round's index-sorted J filtered by membership is the
     // probe's index-sorted update.
     std::size_t pos = bucket_offsets_[b];
-    for (const std::int32_t j : arenas_[b].touched) {
+    for (const std::int32_t j : aggregator_.touched(b)) {
       const auto idx = static_cast<std::size_t>(j);
       if (stamp_[idx] == token) out.update[pos++] = SparseEntry{j, agg_[idx]};
     }

@@ -4,15 +4,16 @@
 // A synchronized round is one composition of stages —
 //
 //   select uploads → screen → (method-specific index selection)
-//     → aggregate → resets → emit update → payload accounting
+//     → aggregate + resets → emit update → payload accounting
 //
 // — and only the middle step differs between methods (FAB's κ-search + fill,
-// FUB's top-k over the aggregate, unidirectional's keep-everything). The
-// pipeline owns every shared stage plus the scratch it runs on: the upload
-// workspaces (one per thread slot) and the 8-byte per-client hint store, the
-// dense aggregation arena with its stamp discipline, and the shard arenas /
-// key merger / bucket aggregator / CSR reset builder. Methods hold one
-// pipeline and compose. The buffered-async engine (fl/simulation.h) drives
+// FUB's top-k over the aggregate, unidirectional's keep-everything; FUB's
+// resets follow its selection in a stage of their own). The pipeline owns
+// every shared stage plus the scratch it runs on: the upload workspaces (one
+// per thread slot) and the 8-byte per-client hint store, the dense
+// aggregation arena with its stamp discipline, and the shard arenas / key
+// merger / bucket aggregator (which also builds the reset lists). Methods
+// hold one pipeline and compose. The buffered-async engine (fl/simulation.h) drives
 // the exact same stages — a flush is a round over the arrival buffer — which
 // is what makes async ≡ sync at zero staleness testable method by method.
 //
@@ -116,7 +117,10 @@ class RoundPipeline {
   /// Stage: sharded weighted aggregation of the selected uploads into agg()
   /// under an optional membership filter, stamping touched indices with a
   /// fresh token. Returns the aggregator for bucket iteration (touched
-  /// lists).
+  /// lists, each index-sorted). With `with_resets` the same passes fill
+  /// out.contributed and the kPerClient reset lists over the same filter —
+  /// for every method whose filter is known before aggregation (FAB's J,
+  /// unidirectional's everything).
   ///
   /// With robust aggregation configured (sparsify/robust.h) each touched
   /// coordinate is reduced with the configured robust statistic instead of
@@ -125,25 +129,26 @@ class RoundPipeline {
   /// coordinates — anti-aligned clients take a reputation strike through the
   /// validator's quarantine bookkeeping, and out.robust.mean_trust carries
   /// the round's trust for RoundFeedback damping. agg()/stamp()/touched
-  /// buckets end up exactly as the plain reduce leaves them, so emit/reset
-  /// stages compose unchanged; the disabled stage never reaches the robust
-  /// code. Like build_resets, callers must snapshot any stamp-based filter
-  /// membership BEFORE this stage re-stamps with a fresh token (the scatter
-  /// reads the filter before the reduce writes stamps, so passing a filter
-  /// over the previous token is safe).
+  /// buckets end up exactly as the plain reduce leaves them, so the emit
+  /// stage composes unchanged; the disabled stage never reaches the robust
+  /// code. The scatter reads the filter before the reduce writes stamps, so
+  /// a filter over an older token of stamp() is safe; the filter's
+  /// membership is gone once this stage returns.
   const BucketAggregator& aggregate(const RoundInput& in, std::span<const double> weights,
                                     std::size_t shards, util::ThreadPool* pool,
-                                    const BucketAggregator::Filter& f, RoundOutcome& out);
+                                    const BucketAggregator::Filter& f, RoundOutcome& out,
+                                    bool with_resets);
 
   /// Stage: client-major CSR reset lists + contributed counts from the
-  /// selected uploads under the same optional filter. Must run BEFORE a later
-  /// stage re-stamps the filter's membership tokens.
+  /// selected uploads under a filter that exists only after aggregation
+  /// (FUB's selected set).
   void build_resets(std::size_t shards, util::ThreadPool* pool,
                     const BucketAggregator::Filter& f, RoundOutcome& out);
 
   /// Stage: emit the aggregated update from the last aggregate() call's
-  /// buckets, index-sorted (buckets are ascending disjoint index ranges, so
-  /// per-bucket sorts concatenate into the global index order).
+  /// buckets, index-sorted (buckets are ascending disjoint index ranges and
+  /// each touched list is index-sorted, so they concatenate into the global
+  /// index order).
   void emit_update_from_buckets(util::ThreadPool* pool, RoundOutcome& out);
 
   // --- derived k′ probe (FabTopK::probe_round) ------------------------------
@@ -213,7 +218,6 @@ class RoundPipeline {
   std::vector<std::size_t> bucket_offsets_;
   KeyMerger merger_;
   BucketAggregator aggregator_;
-  CsrResetBuilder resets_;
 
   // Derived-probe basis: the identity of the last round's input, and the
   // probe's per-bucket J′ counts and per-client prefix cuts.

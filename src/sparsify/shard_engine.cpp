@@ -1,11 +1,13 @@
 #include "sparsify/shard_engine.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
 
 #include "sparsify/keys.h"
+#include "util/contracts.h"
 #include "util/stats.h"
 #include "util/thread_pool.h"
 
@@ -137,75 +139,167 @@ std::vector<std::uint64_t> merge_topk_sorted_runs(
   return out;
 }
 
-std::size_t BucketAggregator::total_touched() const noexcept {
-  std::size_t total = 0;
-  for (const auto& t : bucket_touched_) total += t.size();
-  return total;
+namespace {
+
+// Branch-free filters: 1 when the entry at idx passes, 0 otherwise.
+struct PassAll {
+  std::size_t operator()(std::int32_t) const noexcept { return 1; }
+};
+struct PassStamped {
+  const std::uint32_t* stamp;
+  std::uint32_t token;
+  std::size_t operator()(std::int32_t idx) const noexcept {
+    return stamp[static_cast<std::size_t>(idx)] == token;
+  }
+};
+
+// Runs body(pass) with the filter as one of the two callables above, so
+// each pass's inner loop is compiled once per filter kind.
+template <class Body>
+void with_pass(const BucketAggregator::Filter& filter, Body&& body) {
+  if (filter.stamp == nullptr) {
+    body(PassAll{});
+  } else {
+    body(PassStamped{filter.stamp, filter.token});
+  }
 }
 
-std::size_t BucketAggregator::scatter(const std::vector<SparseVector>& uploads,
-                                      std::span<const double> weights, std::size_t dim,
-                                      std::size_t shards, util::ThreadPool* pool,
-                                      const Filter& filter) {
+// One branch-free compaction step: `value` lands at dst[pos] when keep is 1
+// and in `sink` when it is 0, and pos advances by keep. A dropped value never
+// writes into dst, so dst's region may end where another shard's begins.
+// The slot is chosen by mask: a pointer select lets the compiler prove the
+// sink store dead and turn the step back into a branch, which mispredicts
+// on every other entry of a filter that passes about half of them.
+template <class T>
+inline void compact_into(T* dst, std::size_t& pos, T& sink, const T& value, std::size_t keep) {
+  const auto hit = reinterpret_cast<std::uintptr_t>(dst + pos);
+  const auto miss = reinterpret_cast<std::uintptr_t>(&sink);
+  const std::uintptr_t mask = 0 - static_cast<std::uintptr_t>(keep);
+  *reinterpret_cast<T*>(miss ^ ((hit ^ miss) & mask)) = value;
+  pos += keep;
+}
+
+// Per-shard cursor blocks lie this many size_t apart beyond their B cells:
+// one cache line, so two shards' hot counters never share a line whatever
+// the base alignment.
+constexpr std::size_t kLinePad = 64 / sizeof(std::size_t);
+
+// kPerClient offsets from out.contributed, and the lists sized to match.
+void size_reset_lists(RoundOutcome& out) {
+  const std::size_t n = out.contributed.size();
+  out.reset_offsets.resize(n + 1);
+  out.reset_offsets[0] = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    out.reset_offsets[i + 1] = out.reset_offsets[i] + out.contributed[i];
+  }
+  out.reset_indices.resize(out.reset_offsets[n]);
+  out.reset_kind = RoundOutcome::ResetKind::kPerClient;
+}
+
+}  // namespace
+
+BucketMap::BucketMap(std::size_t buckets, std::size_t dim)
+    : mul_(((std::uint64_t{1} << 32) * buckets) / dim), buckets_(buckets), dim_(dim) {
+  FEDSPARSE_CONTRACT(buckets >= 1 && dim >= 1 && dim <= (std::size_t{1} << 31),
+                     "bucket map needs buckets >= 1 and dim in [1, 2^31]");
+}
+
+std::size_t BucketMap::begin(std::size_t b) const noexcept {
+  // The least idx with idx·mul ≥ b·2^32.
+  const std::uint64_t first = ((std::uint64_t{b} << 32) + mul_ - 1) / mul_;
+  return static_cast<std::size_t>(std::min<std::uint64_t>(first, dim_));
+}
+
+void BucketAggregator::scatter(const std::vector<SparseVector>& uploads,
+                               std::span<const double> weights, std::size_t dim,
+                               std::size_t shards, util::ThreadPool* pool,
+                               const Filter& filter, RoundOutcome* resets) {
   const std::size_t n = uploads.size();
   const ShardPlan plan = make_shard_plan(n, shards);
   const std::size_t S = plan.shards();
-  scatter_shards_ = S;
   // One bucket per shard keeps both parallel phases at the same width; the
-  // bucket map must be monotone in the index so buckets are contiguous
-  // disjoint index ranges (the bucket walks then never share an agg entry).
+  // map is monotone in the index, so buckets are contiguous disjoint index
+  // ranges (the bucket walks then never share an agg entry).
   const std::size_t B = S;
+  map_ = BucketMap(B, dim);
+  const std::size_t stride = B + kLinePad;
+  cursors_.assign(S * stride, 0);
+  if (resets != nullptr) resets->contributed.resize(n);
 
-  // Phase 1: per-(shard, bucket) entry counts.
-  cursors_.assign(S * B + 1, 0);
-  for_each_shard(pool, S, [&](std::size_t s) {
-    std::size_t* counts = cursors_.data() + s * B;
-    for (std::size_t i = plan.begin(s); i < plan.end(s); ++i) {
-      for (const auto& e : uploads[i]) {
-        if (filter.pass(e.index)) ++counts[bucket_of(e.index, B, dim)];
+  with_pass(filter, [&](const auto pass) {
+    // Count pass: per-(shard, bucket) entry counts into the shard's own
+    // cursor block, per-client passing counts. The shard bodies copy the map
+    // and the filter: the stores below could alias them, and copies keep
+    // them in registers.
+    for_each_shard(pool, S, [&](std::size_t s) {
+      const BucketMap map = map_;
+      const auto keep_of = pass;
+      std::size_t* counts = cursors_.data() + s * stride;
+      for (std::size_t i = plan.begin(s); i < plan.end(s); ++i) {
+        std::size_t passed = 0;
+        for (const auto& e : uploads[i]) {
+          const std::size_t keep = keep_of(e.index);
+          counts[map(e.index)] += keep;
+          passed += keep;
+        }
+        if (resets != nullptr) resets->contributed[i] = passed;
+      }
+    });
+
+    // Exclusive prefix in (bucket, shard) order — bucket-major layout with
+    // shards of the same bucket adjacent in ascending shard (= ascending
+    // client) order. Serial over S·B cells.
+    bucket_bounds_.resize(B + 1);
+    std::size_t pos = 0;
+    for (std::size_t b = 0; b < B; ++b) {
+      bucket_bounds_[b] = pos;
+      for (std::size_t s = 0; s < S; ++s) {
+        std::size_t& cell = cursors_[s * stride + b];
+        const std::size_t c = cell;
+        cell = pos;
+        pos += c;
       }
     }
-  });
+    bucket_bounds_[B] = pos;
+    entries_.resize(pos);
+    if (resets != nullptr) size_reset_lists(*resets);
 
-  // Phase 2: exclusive prefix in (bucket, shard) order — bucket-major layout
-  // with shards of the same bucket adjacent in ascending shard (= ascending
-  // client) order. Serial over S·B cells.
-  std::size_t pos = 0;
-  for (std::size_t b = 0; b < B; ++b) {
-    for (std::size_t s = 0; s < S; ++s) {
-      std::size_t& cell = cursors_[s * B + b];
-      const std::size_t c = cell;
-      cell = pos;
-      pos += c;
-    }
-  }
-  entries_.resize(pos);
-
-  // Phase 3: scatter. Each shard walks its clients in ascending slot order
-  // and bumps its own cursors, so inside a bucket the entry order is
-  // (client asc, upload order) — the reference aggregation sequence. Each
-  // client's segment end per bucket is kept for accumulate_prefixes: shards
-  // of one bucket are adjacent, so client i's segment in bucket b starts
-  // where client i−1's ended.
-  client_ends_.resize(n * B);
-  for_each_shard(pool, S, [&](std::size_t s) {
-    std::size_t* cursors = cursors_.data() + s * B;
-    for (std::size_t i = plan.begin(s); i < plan.end(s); ++i) {
-      const float w = static_cast<float>(weights[i]);
-      for (const auto& e : uploads[i]) {
-        if (!filter.pass(e.index)) continue;
-        entries_[cursors[bucket_of(e.index, B, dim)]++] = Entry{e.index, w, e.value};
+    // Fill pass. Each shard walks its clients in ascending slot order and
+    // bumps its own cursors, so inside a bucket the entry order is (client
+    // asc, upload order) — the reference aggregation sequence — and each
+    // reset list keeps its client's upload order. Without resets every index
+    // goes to the sink. Each client's segment end per bucket is kept for
+    // accumulate_prefixes: shards of one bucket are adjacent, so client i's
+    // segment in bucket b starts where client i−1's ended.
+    client_ends_.resize(n * B);
+    const std::size_t listed = resets != nullptr ? 1 : 0;
+    for_each_shard(pool, S, [&](std::size_t s) {
+      const BucketMap map = map_;
+      const auto keep_of = pass;
+      std::size_t* cursors = cursors_.data() + s * stride;
+      Entry entry_sink{};
+      std::int32_t index_sink = 0;
+      for (std::size_t i = plan.begin(s); i < plan.end(s); ++i) {
+        const float w = static_cast<float>(weights[i]);
+        std::int32_t* list = listed != 0 ? resets->reset_indices.data() : &index_sink;
+        std::size_t r = listed != 0 ? resets->reset_offsets[i] : 0;
+        for (const auto& e : uploads[i]) {
+          const std::size_t keep = keep_of(e.index);
+          compact_into(entries_.data(), cursors[map(e.index)], entry_sink,
+                       Entry{e.index, w, e.value}, keep);
+          compact_into(list, r, index_sink, e.index, keep & listed);
+        }
+        std::copy(cursors, cursors + B,
+                  client_ends_.begin() + static_cast<std::ptrdiff_t>(i * B));
       }
-      std::copy(cursors, cursors + B, client_ends_.begin() + static_cast<std::ptrdiff_t>(i * B));
-    }
+    });
   });
-  return B;
 }
 
 void BucketAggregator::accumulate_prefixes(std::size_t b, std::span<const std::uint64_t> cuts,
                                            const Filter& member, float* agg) const {
   const std::size_t B = buckets();
-  std::size_t p = bucket_begin(b, B);
+  std::size_t p = bucket_bounds_[b];
   for (std::size_t i = 0; i < cuts.size(); ++i) {
     const std::size_t end = client_ends_[i * B + b];
     const std::uint64_t cut = cuts[i];
@@ -222,29 +316,41 @@ void BucketAggregator::accumulate_prefixes(std::size_t b, std::span<const std::u
 void BucketAggregator::run(const std::vector<SparseVector>& uploads,
                            std::span<const double> weights, std::size_t dim,
                            std::size_t shards, util::ThreadPool* pool, const Filter& filter,
-                           float* agg, std::uint32_t* touch_stamp,
-                           std::uint32_t touch_token) {
-  const std::size_t B = scatter(uploads, weights, dim, shards, pool, filter);
+                           float* agg, std::uint32_t* touch_stamp, std::uint32_t touch_token,
+                           RoundOutcome* resets) {
+  scatter(uploads, weights, dim, shards, pool, filter, resets);
+  const std::size_t B = buckets();
 
-  // Phase 4: per-bucket reduce. After phase 3 every cursor sits at its
-  // segment end, so bucket b ends at cursors_[(S-1) * B + b] and starts
-  // where bucket b-1 ended (bucket_begin/bucket_end).
-  bucket_touched_.resize(B);
+  // Per-bucket reduce, branch-free: an index's first entry adds to +0.0f
+  // (its stale agg value masked off), the rest to the running sum — the
+  // same additions as zeroing agg at first touch. Then the bucket's index
+  // range is scanned for the touch token, which lists its aggregated
+  // indices in ascending order.
+  touched_.resize(B);
   for_each_shard(pool, B, [&](std::size_t b) {
-    const std::size_t begin = bucket_begin(b, B);
-    const std::size_t end = bucket_end(b, B);
-    auto& touched = bucket_touched_[b];
-    touched.clear();
-    for (std::size_t p = begin; p < end; ++p) {
+    const std::uint32_t token = touch_token;
+    for (std::size_t p = bucket_bounds_[b]; p < bucket_bounds_[b + 1]; ++p) {
       const Entry& e = entries_[p];
       const auto idx = static_cast<std::size_t>(e.index);
-      if (touch_stamp[idx] != touch_token) {
-        touch_stamp[idx] = touch_token;
-        agg[idx] = 0.0f;
-        touched.push_back(e.index);
-      }
-      agg[idx] += e.w * e.v;
+      const std::uint32_t seen = 0u - static_cast<std::uint32_t>(touch_stamp[idx] == token);
+      const float sum = std::bit_cast<float>(std::bit_cast<std::uint32_t>(agg[idx]) & seen);
+      agg[idx] = sum + e.w * e.v;
+      touch_stamp[idx] = token;
     }
+    const std::size_t lo = map_.begin(b);
+    const std::size_t hi = map_.begin(b + 1);
+    Touched& t = touched_[b];
+    // A stamped index's slot is below the count so far, and the count never
+    // exceeds the bucket's entries or its range.
+    const std::size_t room = std::min(hi - lo, bucket_bounds_[b + 1] - bucket_bounds_[b] + 1);
+    if (t.indices.size() < room) t.indices.resize(room);
+    std::int32_t* out = t.indices.data();
+    std::size_t count = 0;
+    for (std::size_t idx = lo; idx < hi; ++idx) {
+      out[count] = static_cast<std::int32_t>(idx);
+      count += touch_stamp[idx] == token;
+    }
+    t.size = count;
   });
 }
 
@@ -253,8 +359,9 @@ void BucketAggregator::run_robust(const std::vector<SparseVector>& uploads,
                                   std::size_t shards, util::ThreadPool* pool,
                                   const Filter& filter, const RobustConfig& cfg, float* agg,
                                   std::uint32_t* touch_stamp, std::uint32_t touch_token,
-                                  RobustStats& stats) {
-  const std::size_t B = scatter(uploads, weights, dim, shards, pool, filter);
+                                  RobustStats& stats, RoundOutcome* resets) {
+  scatter(uploads, weights, dim, shards, pool, filter, resets);
+  const std::size_t B = buckets();
   stats = RobustStats{};
 
   // Round-global thin-support clamp: clip_mult × the median |value| over ALL
@@ -275,14 +382,19 @@ void BucketAggregator::run_robust(const std::vector<SparseVector>& uploads,
   // keeps the scatter's client-major order — then reduce every group with
   // the robust statistic. All group arithmetic runs in double in a
   // partition-invariant order, so agg is byte-identical across shard counts.
-  bucket_touched_.resize(B);
+  // Groups come out in ascending index order, and so does touched(b). The
+  // per-group counters are local and stored once per bucket: the buckets'
+  // Touched and RobustStats cells share cache lines.
+  touched_.resize(B);
   bucket_stats_.assign(B, RobustStats{});
   for_each_shard(pool, B, [&](std::size_t b) {
-    const std::size_t begin = bucket_begin(b, B);
-    const std::size_t end = bucket_end(b, B);
-    auto& touched = bucket_touched_[b];
-    auto& bs = bucket_stats_[b];
-    touched.clear();
+    const std::size_t begin = bucket_bounds_[b];
+    const std::size_t end = bucket_bounds_[b + 1];
+    Touched& touched = touched_[b];
+    RobustStats bs;
+    if (touched.indices.size() < end - begin) touched.indices.resize(end - begin);
+    std::int32_t* listed = touched.indices.data();
+    std::size_t count = 0;
     std::stable_sort(entries_.begin() + static_cast<std::ptrdiff_t>(begin),
                      entries_.begin() + static_cast<std::ptrdiff_t>(end),
                      [](const Entry& a, const Entry& c) { return a.index < c.index; });
@@ -349,9 +461,11 @@ void BucketAggregator::run_robust(const std::vector<SparseVector>& uploads,
       }
       touch_stamp[idx] = touch_token;
       agg[idx] = static_cast<float>(value);
-      touched.push_back(entries_[g0].index);
+      listed[count++] = entries_[g0].index;
       g0 = g1;
     }
+    touched.size = count;
+    bucket_stats_[b] = bs;
   });
   for (const RobustStats& bs : bucket_stats_) {
     stats.coords_robust += bs.coords_robust;
@@ -360,40 +474,32 @@ void BucketAggregator::run_robust(const std::vector<SparseVector>& uploads,
   }
 }
 
-void CsrResetBuilder::run(const std::vector<SparseVector>& uploads, std::size_t shards,
-                          util::ThreadPool* pool, const BucketAggregator::Filter& filter,
-                          RoundOutcome& out) {
+void build_reset_lists(const std::vector<SparseVector>& uploads, std::size_t shards,
+                       util::ThreadPool* pool, const BucketAggregator::Filter& filter,
+                       RoundOutcome& out) {
   const std::size_t n = uploads.size();
   const ShardPlan plan = make_shard_plan(n, shards);
-  const std::size_t S = plan.shards();
-
-  out.contributed.assign(n, 0);
-  for_each_shard(pool, S, [&](std::size_t s) {
-    for (std::size_t i = plan.begin(s); i < plan.end(s); ++i) {
-      std::size_t cnt = 0;
-      for (const auto& e : uploads[i]) {
-        if (filter.pass(e.index)) ++cnt;
+  out.contributed.resize(n);
+  with_pass(filter, [&](const auto pass) {
+    for_each_shard(pool, plan.shards(), [&](std::size_t s) {
+      for (std::size_t i = plan.begin(s); i < plan.end(s); ++i) {
+        std::size_t passed = 0;
+        for (const auto& e : uploads[i]) passed += pass(e.index);
+        out.contributed[i] = passed;
       }
-      out.contributed[i] = cnt;
-    }
-  });
-
-  out.reset_offsets.resize(n + 1);
-  out.reset_offsets[0] = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    out.reset_offsets[i + 1] = out.reset_offsets[i] + out.contributed[i];
-  }
-  out.reset_indices.resize(out.reset_offsets[n]);
-
-  for_each_shard(pool, S, [&](std::size_t s) {
-    for (std::size_t i = plan.begin(s); i < plan.end(s); ++i) {
-      std::size_t pos = out.reset_offsets[i];
-      for (const auto& e : uploads[i]) {
-        if (filter.pass(e.index)) out.reset_indices[pos++] = e.index;
+    });
+    size_reset_lists(out);
+    for_each_shard(pool, plan.shards(), [&](std::size_t s) {
+      const auto keep_of = pass;
+      std::int32_t sink = 0;
+      for (std::size_t i = plan.begin(s); i < plan.end(s); ++i) {
+        std::size_t r = out.reset_offsets[i];
+        for (const auto& e : uploads[i]) {
+          compact_into(out.reset_indices.data(), r, sink, e.index, keep_of(e.index));
+        }
       }
-    }
+    });
   });
-  out.reset_kind = RoundOutcome::ResetKind::kPerClient;
 }
 
 }  // namespace fedsparse::sparsify

@@ -11,7 +11,7 @@
 // to (counting, membership) or reproduces the reference's float addition
 // sequence verbatim (the bucket-major aggregation below).
 //
-// Three pieces live here, shared by the top-k methods' sharded paths:
+// Two pieces live here, shared by the top-k methods' sharded paths:
 //
 //  * KeyMerger / merge_topk_sorted_runs — k-bounded multi-way merge of
 //    descending-sorted 64-bit key runs (keys.h) via pairwise tree reduction.
@@ -20,14 +20,13 @@
 //
 //  * BucketAggregator — the weighted union-aggregate b_j = Σ w_i · a_ij over
 //    per-client sparse uploads, sharded along the INDEX axis: entries
-//    scatter into disjoint contiguous index buckets (bucket b owns indices
-//    [b·D/B, (b+1)·D/B)), preserving client-major order inside each bucket,
-//    then every bucket reduces independently. Within one index the float
-//    additions run in exactly the reference's client order, so the sums are
-//    bit-identical — no atomics, no reassociation.
-//
-//  * CsrResetBuilder — the client-major CSR reset lists + contributed
-//    counts, computed as parallel count / serial prefix / parallel fill.
+//    scatter into disjoint contiguous index buckets (BucketMap), preserving
+//    client-major order inside each bucket, then every bucket reduces
+//    independently. Within one index the float additions run in exactly the
+//    reference's client order, so the sums are bit-identical — no atomics,
+//    no reassociation. The scatter's fill pass also emits the client-major
+//    reset lists and contributed counts, so one count pass and one fill pass
+//    over the uploads serve both.
 #pragma once
 
 #include <cstdint>
@@ -59,11 +58,29 @@ struct ShardPlan {
 
 ShardPlan make_shard_plan(std::size_t n, std::size_t shards);
 
-/// The bucket of index `idx` when [0, dim) splits into `buckets` contiguous
-/// ascending ranges (BucketAggregator's index-axis sharding).
-inline std::size_t bucket_of(std::int32_t idx, std::size_t buckets, std::size_t dim) {
-  return static_cast<std::size_t>(idx) * buckets / dim;
-}
+/// BucketAggregator's index-axis sharding: [0, dim) split into `buckets`
+/// contiguous ascending ranges by a multiply-shift, so the per-entry map
+/// costs no divide. With mul = ⌊2^32·B/dim⌋, bucket(idx) = ⌊idx·mul/2^32⌋
+/// ≤ ⌊idx·B/dim⌋ < B, is monotone, and steps by at most 1 while dim ≥ B, so
+/// every bucket is non-empty then (bucket(dim−1) = B−1 for dim ≤ 2^31).
+/// begin(b) is the first index of bucket b (begin(B) = dim).
+class BucketMap {
+ public:
+  BucketMap() = default;
+  /// dim in [1, 2^31] (int32 indices), buckets ≥ 1.
+  BucketMap(std::size_t buckets, std::size_t dim);
+
+  std::size_t operator()(std::int32_t idx) const noexcept {
+    return static_cast<std::size_t>((static_cast<std::uint64_t>(idx) * mul_) >> 32);
+  }
+  std::size_t buckets() const noexcept { return buckets_; }
+  std::size_t begin(std::size_t b) const noexcept;
+
+ private:
+  std::uint64_t mul_ = 0;
+  std::size_t buckets_ = 0;
+  std::size_t dim_ = 0;
+};
 
 /// Runs fn(s) for every shard in [0, shards) — across the pool (grain 1)
 /// when one is available, serially otherwise. Shard bodies must only write
@@ -116,6 +133,15 @@ std::vector<std::uint64_t> merge_topk_sorted_runs(
 /// ascending slot order — the reference methods' client-major loop — because
 /// the scatter writes each bucket's entries in (shard asc, client asc,
 /// upload order) and the bucket walk adds them left to right.
+///
+/// Two passes over the uploads, both branch-free in the entry filter:
+///  * count — per-(shard, bucket) entry counts and per-client passing counts
+///    (the contributed counts). Each shard counts into its own cache lines;
+///    a serial prefix then lays the buffer out bucket-major, the shards of
+///    one bucket adjacent in shard order.
+///  * fill — every entry is written, a passing one at its bucket cursor and
+///    at its client's reset-list cursor, a failing one into a sink local to
+///    the shard, so no write ever lands in another shard's region.
 class BucketAggregator {
  public:
   /// Optional entry filter: accept only indices with stamp[idx] == token
@@ -134,24 +160,29 @@ class BucketAggregator {
   /// only touched entries written). touch_stamp/touch_token provide the
   /// first-touch dedup (caller-owned so methods can reuse their stamp
   /// arena); after the call, touched(b) lists bucket b's aggregated indices
-  /// in client-major first-touch order and stamp[idx] == touch_token for
-  /// exactly those indices.
+  /// in ascending index order and stamp[idx] == touch_token for exactly
+  /// those indices. The filter is read before any stamp is written, so it
+  /// may live on the same stamp array under an older token. When `resets`
+  /// is given, its contributed counts and client-major kPerClient reset
+  /// lists (each client's passing indices in upload order) are filled too.
   void run(const std::vector<SparseVector>& uploads, std::span<const double> weights,
            std::size_t dim, std::size_t shards, util::ThreadPool* pool, const Filter& filter,
-           float* agg, std::uint32_t* touch_stamp, std::uint32_t touch_token);
+           float* agg, std::uint32_t* touch_stamp, std::uint32_t touch_token,
+           RoundOutcome* resets = nullptr);
 
-  /// Robust-reduce mode: same scatter (phases 1–3) as run(), but each
+  /// Robust-reduce mode: same scatter (and resets) as run(), but each
   /// bucket's entries are regrouped by index — materializing every
   /// coordinate's per-client contributions in client-major order — and
   /// reduced with the robust statistic from `cfg` (robust.h) instead of the
   /// weighted sum. touched()/stamps end up exactly as run() leaves them, so
-  /// downstream emit/reset stages work unchanged. Because each index group's
+  /// downstream emit stages work unchanged. Because each index group's
   /// content and order are independent of the bucket partition, the result
   /// is byte-identical across shard counts.
   void run_robust(const std::vector<SparseVector>& uploads, std::span<const double> weights,
                   std::size_t dim, std::size_t shards, util::ThreadPool* pool,
                   const Filter& filter, const RobustConfig& cfg, float* agg,
-                  std::uint32_t* touch_stamp, std::uint32_t touch_token, RobustStats& stats);
+                  std::uint32_t* touch_stamp, std::uint32_t touch_token, RobustStats& stats,
+                  RoundOutcome* resets = nullptr);
 
   /// Derived-probe re-walk of bucket b of the last run(): adds w·v into agg
   /// for every scattered entry whose index passes `member` and whose key
@@ -165,12 +196,12 @@ class BucketAggregator {
   void accumulate_prefixes(std::size_t b, std::span<const std::uint64_t> cuts,
                            const Filter& member, float* agg) const;
 
-  std::size_t buckets() const noexcept { return bucket_touched_.size(); }
+  std::size_t buckets() const noexcept { return map_.buckets(); }
+  /// The last run()'s index-to-bucket map.
+  const BucketMap& bucket_map() const noexcept { return map_; }
   std::span<const std::int32_t> touched(std::size_t b) const noexcept {
-    return {bucket_touched_[b].data(), bucket_touched_[b].size()};
+    return {touched_[b].indices.data(), touched_[b].size};
   }
-  /// Total aggregated entries across buckets (Σ touched sizes).
-  std::size_t total_touched() const noexcept;
 
  private:
   struct Entry {
@@ -178,38 +209,36 @@ class BucketAggregator {
     float w;
     float v;
   };
+  // Bucket b's aggregated indices: the first `size` of `indices`, which only
+  // grows, so no round pays to re-zero it.
+  struct Touched {
+    std::vector<std::int32_t> indices;
+    std::size_t size = 0;
+  };
 
-  /// Phases 1–3 (count / prefix / scatter); returns the bucket count B and
-  /// leaves entries_/cursors_ describing the bucket-major layout. Bucket b
-  /// spans [bucket_begin(b, B), bucket_end(b, B)) of entries_.
-  std::size_t scatter(const std::vector<SparseVector>& uploads, std::span<const double> weights,
-                      std::size_t dim, std::size_t shards, util::ThreadPool* pool,
-                      const Filter& filter);
-  std::size_t bucket_begin(std::size_t b, std::size_t B) const noexcept {
-    return b == 0 ? 0 : cursors_[(scatter_shards_ - 1) * B + b - 1];
-  }
-  std::size_t bucket_end(std::size_t b, std::size_t B) const noexcept {
-    return cursors_[(scatter_shards_ - 1) * B + b];
-  }
+  /// The count and fill passes; sets map_ and bucket_bounds_ (bucket b
+  /// spans [bucket_bounds_[b], bucket_bounds_[b + 1]) of entries_).
+  void scatter(const std::vector<SparseVector>& uploads, std::span<const double> weights,
+               std::size_t dim, std::size_t shards, util::ThreadPool* pool,
+               const Filter& filter, RoundOutcome* resets);
 
-  std::vector<Entry> entries_;                         // bucket-major scatter buffer
-  std::vector<std::size_t> cursors_;                   // shards × buckets bases
-  std::vector<std::size_t> client_ends_;               // clients × buckets segment ends
-  std::size_t scatter_shards_ = 0;                     // S of the last scatter()
-  std::vector<std::vector<std::int32_t>> bucket_touched_;
-  std::vector<float> abs_scratch_;                     // robust mode: round |v| median
-  std::vector<RobustStats> bucket_stats_;              // robust mode: per-bucket partials
+  BucketMap map_;
+  std::vector<Entry> entries_;                 // bucket-major scatter buffer
+  std::vector<std::size_t> cursors_;           // shard s's B cursors at s × stride
+  std::vector<std::size_t> bucket_bounds_;     // B + 1 entry offsets
+  std::vector<std::size_t> client_ends_;       // clients × buckets segment ends
+  std::vector<Touched> touched_;
+  std::vector<float> abs_scratch_;             // robust mode: round |v| median
+  std::vector<RobustStats> bucket_stats_;      // robust mode: per-bucket partials
 };
 
-/// Client-major CSR reset lists + contributed counts over uploads, with the
-/// same optional membership filter: count pass (parallel per shard), serial
-/// prefix, fill pass (parallel per shard). Matches the reference methods'
-/// sequential build exactly — counting and filling are order-invariant over
-/// a contiguous partition.
-class CsrResetBuilder {
- public:
-  void run(const std::vector<SparseVector>& uploads, std::size_t shards,
-           util::ThreadPool* pool, const BucketAggregator::Filter& filter, RoundOutcome& out);
-};
+/// Client-major kPerClient reset lists + contributed counts of the uploads'
+/// entries that pass `filter`, for a method whose filter exists only after
+/// aggregation (FUB's selected set). A count pass and a fill pass per shard
+/// on the same branch-free compaction as the aggregator's fill; each list
+/// keeps its client's upload order.
+void build_reset_lists(const std::vector<SparseVector>& uploads, std::size_t shards,
+                       util::ThreadPool* pool, const BucketAggregator::Filter& filter,
+                       RoundOutcome& out);
 
 }  // namespace fedsparse::sparsify

@@ -796,6 +796,39 @@ TEST(ReplayLoad, InconsistentRoundsThrowOnLoadAndReplay) {
   std::remove(path.c_str());
 }
 
+// A crafted log whose rounds would need n · dim dense floats far above the
+// cap (3 clients at dim 2^31, 24 GiB) is refused with a message naming n,
+// dim and the cap, before the method or the vectors are allocated.
+TEST(ReplayLoad, OversizedRoundsThrowBeforeAllocating) {
+  const auto refusal = [](const ReplayLog& log) -> std::string {
+    try {
+      (void)replay(log, 1);
+    } catch (const std::runtime_error& e) {
+      return e.what();
+    }
+    return "accepted";
+  };
+  ReplayLog log = small_log();
+  log.dim = std::uint64_t{1} << 31;
+  const std::string what = refusal(log);
+  EXPECT_NE(what.find("3 clients"), std::string::npos) << what;
+  EXPECT_NE(what.find("dim " + std::to_string(log.dim)), std::string::npos) << what;
+  EXPECT_NE(what.find("cap of " + std::to_string(kReplayMaxDenseFloats)), std::string::npos)
+      << what;
+  // One client over the cap is refused too, and so is a round with no
+  // clients: the method's own arenas are dim-sized.
+  log.rounds.resize(1);
+  log.rounds[0].client_ids = {0};
+  log.rounds[0].data_weights = {1.0};
+  log.rounds[0].vec_offsets = {0, 3};
+  log.rounds[0].vec_indices.resize(3);
+  log.rounds[0].vec_values.resize(3);
+  EXPECT_NE(refusal(log).find("1 clients"), std::string::npos) << refusal(log);
+  log.rounds[0] = ReplayRound{};
+  log.rounds[0].vec_offsets = {0};
+  EXPECT_NE(refusal(log).find("0 clients"), std::string::npos) << refusal(log);
+}
+
 // ---------------- buffered-async catch-up after >= 3 missed flushes ---------
 
 TEST(AsyncCatchUp, TripleMissedFlushFoldsExactlyOnceWithFullStaleness) {

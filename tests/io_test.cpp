@@ -13,8 +13,12 @@ namespace {
 
 class IoTest : public ::testing::Test {
  protected:
+  // One directory per test: ctest -j runs the tests as parallel processes,
+  // and a shared one would be removed under a running test by another's
+  // TearDown.
   void SetUp() override {
-    dir_ = "/tmp/fedsparse_io_test";
+    dir_ = ::testing::TempDir() + "fedsparse_io_test_" +
+           ::testing::UnitTest::GetInstance()->current_test_info()->name();
     std::filesystem::create_directories(dir_);
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
