@@ -1012,45 +1012,6 @@ void bench_byzantine(std::vector<KernelResult>& out) {
   }
 }
 
-// --- fused accumulate + threshold prescan ------------------------------------
-//
-// add_scan folds the hinted selection scan into the accumulation sweep: one
-// pass over each dirty chunk instead of add + (summary-pruned) scan. Both
-// sides reset first so every iteration does identical work on identical
-// state.
-
-void bench_fused_scan(std::vector<KernelResult>& out) {
-  const std::size_t d = 1u << 20;
-  const std::size_t k = d / 100;
-  const auto g = random_vec(d, 17);
-  // Threshold = the k-th |g| (what a warm selection hint would hold), so the
-  // scan is the production shape: ~k survivors against cap 8k+64.
-  std::vector<float> mags(d);
-  for (std::size_t i = 0; i < d; ++i) mags[i] = std::fabs(g[i]);
-  std::nth_element(mags.begin(), mags.begin() + static_cast<std::ptrdiff_t>(k - 1), mags.end(),
-                   std::greater<float>());
-  const float threshold = mags[k - 1];
-  const std::size_t cap = sparsify::topk_hint_cap(k);
-
-  sparsify::GradientAccumulator ref(d);
-  std::vector<std::uint64_t> keys;
-  out.push_back(measure("accumulator_add_then_scan_D1M", "", static_cast<double>(d), [&] {
-    ref.reset_all();
-    ref.add({g.data(), g.size()});
-    keys.clear();
-    (void)sparsify::threshold_scan_append(ref.value(), ref.chunk_max(), threshold, cap, keys);
-    do_not_optimize(keys.data());
-  }));
-  sparsify::GradientAccumulator fused(d);
-  out.push_back(measure("accumulator_add_scan_fused_D1M", "accumulator_add_then_scan_D1M",
-                        static_cast<double>(d), [&] {
-                          fused.reset_all();
-                          keys.clear();
-                          (void)fused.add_scan({g.data(), g.size()}, threshold, cap, keys);
-                          do_not_optimize(keys.data());
-                        }));
-}
-
 void bench_parallel_for(std::vector<KernelResult>& out) {
   util::ThreadPool pool;
   const std::size_t n = 1u << 20;
@@ -1107,7 +1068,6 @@ int main(int argc, char** argv) {
   bench_linear(results);
   bench_conv2d(results);
   bench_accumulator(results);
-  bench_fused_scan(results);
   bench_fab_round(results);
   bench_round_engine(results);
   bench_tiered_rounds(results);

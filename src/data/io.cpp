@@ -30,6 +30,16 @@ void write_u32_be(std::ostream& out, std::uint32_t v) {
   out.write(reinterpret_cast<const char*>(buf), 4);
 }
 
+// Bytes from the read position to the end of the stream; the position is
+// left where it was.
+std::uint64_t bytes_left(std::istream& in) {
+  const std::streampos at = in.tellg();
+  in.seekg(0, std::ios::end);
+  const std::streampos end = in.tellg();
+  in.seekg(at);
+  return static_cast<std::uint64_t>(end - at);
+}
+
 }  // namespace
 
 Dataset load_idx_dataset(const std::string& images_path, const std::string& labels_path,
@@ -52,6 +62,20 @@ Dataset load_idx_dataset(const std::string& images_path, const std::string& labe
   if (label_count != count) {
     throw std::runtime_error("IDX: image/label count mismatch (" + std::to_string(count) +
                              " vs " + std::to_string(label_count) + ")");
+  }
+
+  // The headers are not trusted to size the buffers: a flipped count bit
+  // would request gigabytes. Both payloads must be in the files before
+  // anything is allocated (count·rows·cols checked without overflow).
+  const std::uint64_t pixels = static_cast<std::uint64_t>(rows) * cols;
+  if (pixels != 0 && count > bytes_left(images) / pixels) {
+    throw std::runtime_error("IDX: header claims " + std::to_string(count) + " images of " +
+                             std::to_string(rows) + "x" + std::to_string(cols) +
+                             ", more than " + images_path + " holds");
+  }
+  if (count > bytes_left(labels)) {
+    throw std::runtime_error("IDX: header claims " + std::to_string(count) +
+                             " labels, more than " + labels_path + " holds");
   }
 
   Dataset ds;

@@ -60,35 +60,8 @@ double Client::compute_round_gradient(nn::Sequential& model, std::size_t round,
 
   model.zero_grad();
   const double loss = model.forward_loss_grad(mb.x, mb.y);
-  if (prescan_round_ == round && prescan_threshold_ > 0.0f) {
-    // Fused sweep: accumulate and emit this round's selection candidates in
-    // the same pass over each dirty chunk (see request_prescan).
-    prescan_complete_ =
-        accumulator_.add_scan(model.grad(), prescan_threshold_, prescan_cap_, prescan_keys_);
-    prescan_done_ = true;
-  } else {
-    accumulator_.add(model.grad());
-  }
+  accumulator_.add(model.grad());
   return loss;
-}
-
-void Client::request_prescan(float threshold, std::size_t k, std::size_t cap,
-                             std::size_t round) {
-  prescan_threshold_ = threshold;
-  prescan_k_ = static_cast<std::uint32_t>(k);
-  prescan_cap_ = cap;
-  prescan_round_ = round;
-  prescan_done_ = false;
-}
-
-sparsify::PrescanView Client::prescan_view(std::size_t round) const {
-  sparsify::PrescanView view;
-  if (prescan_round_ != round || !prescan_done_) return view;
-  view.keys = {prescan_keys_.data(), prescan_keys_.size()};
-  view.threshold = prescan_threshold_;
-  view.k = prescan_k_;
-  view.complete = prescan_complete_;
-  return view;
 }
 
 double Client::local_update(nn::Sequential& model, std::size_t round, std::size_t batch,

@@ -19,7 +19,6 @@
 #include "data/minibatch.h"
 #include "nn/models.h"
 #include "sparsify/accumulator.h"
-#include "sparsify/topk.h"
 #include "util/rng.h"
 
 namespace fedsparse::fl {
@@ -66,25 +65,6 @@ class Client {
   /// it to the bound weights (the client's own vector; no accumulator).
   double local_update(nn::Sequential& model, std::size_t round, std::size_t batch, float lr);
 
-  // --- fused accumulate + threshold prescan --------------------------------
-
-  /// Arms the fused single-pass sweep for `round`: the next
-  /// compute_round_gradient(round) accumulates via
-  /// GradientAccumulator::add_scan, emitting the selection keys of every
-  /// entry with |a_ij| >= threshold while the dirty chunks are still hot in
-  /// cache, instead of a separate post-accumulate scan. `threshold` is the
-  /// method's current top-k hint for this client and `cap` the hint-filter
-  /// key budget (sparsify::topk_hint_cap); both are echoed into the view so
-  /// the selection can verify it is consuming the scan it would have run.
-  void request_prescan(float threshold, std::size_t k, std::size_t cap, std::size_t round);
-
-  /// The armed-and-executed prescan for `round`, as the view
-  /// sparsify::select() consumes; a default (invalid) view when no prescan
-  /// ran for that round. Valid views stay readable until the next
-  /// request_prescan (probe rounds re-read them; the k mismatch makes the
-  /// selection ignore them there).
-  sparsify::PrescanView prescan_view(std::size_t round) const;
-
   // --- probe losses (Section IV-E) -----------------------------------------
 
   /// f_{i,h}(w(m−1)), recorded during compute_round_gradient.
@@ -123,16 +103,6 @@ class Client {
   tensor::Matrix probe_x_;
   std::vector<int> probe_y_;
   double probe_loss_prev_ = 0.0;
-
-  // Fused-prescan state (see request_prescan). prescan_round_ == 0 means
-  // "never armed"; the view is only valid for the round it executed in.
-  std::vector<std::uint64_t> prescan_keys_;
-  float prescan_threshold_ = 0.0f;
-  std::uint32_t prescan_k_ = 0;
-  std::size_t prescan_cap_ = 0;
-  std::size_t prescan_round_ = 0;
-  bool prescan_complete_ = false;
-  bool prescan_done_ = false;  // add_scan actually ran for prescan_round_
 
   // Realized traffic over the run (values; ×4 for bytes).
   std::size_t rounds_participated_ = 0;

@@ -313,7 +313,6 @@ ReplayResult replay(const ReplayLog& log, std::size_t shards) {
     in.data_weights = {r.data_weights.data(), r.data_weights.size()};
     in.client_ids = {ids.data(), ids.size()};
     in.client_chunk_max.clear();
-    in.client_prescan.clear();
     in.tamper = faults.trivial() ? nullptr : &faults;
     in.dim = log.dim;
     in.round = r.round;

@@ -17,8 +17,8 @@
 //   * payload corruption is NOT baked in: the tamper hook is pure in
 //     (seed, round, client), so replay reconstructs the FaultModel from the
 //     logged config and re-injects identical corruption;
-//   * chunk summaries and prescans are omitted — selection is pinned
-//     byte-identical with and without them, so dense replay matches;
+//   * chunk summaries are omitted — selection is pinned byte-identical
+//     with and without them, so dense replay matches;
 //   * the digest covers the update payload, the reset lists, and the
 //     contributed counts: everything the engine folds back into state.
 #pragma once

@@ -252,7 +252,6 @@ const sparsify::RoundInput& Simulation::make_round_input(
   round_input_.client_ids = {selected.data(), selected.size()};
   round_input_.client_vectors.clear();
   round_input_.client_chunk_max.clear();
-  round_input_.client_prescan.clear();
   weight_storage_.clear();
   double total = 0.0;
   for (const std::size_t i : selected) total += data_weights_[i];
@@ -268,17 +267,10 @@ const sparsify::RoundInput& Simulation::make_round_input(
     if (!fedavg_style_) {
       round_input_.client_chunk_max.push_back(clients_[i]->accumulator().chunk_max());
     }
-    // Slot-aligned fused-prescan views: clients that did not run one this
-    // round contribute a default (invalid) view the selection ignores.
-    if (prescan_round_) {
-      round_input_.client_prescan.push_back(clients_[i]->prescan_view(round));
-    }
   }
   // Buffered-async flushes discount stale contributions before the methods
   // ever see the weights; methods stay staleness-oblivious (sparsify/method.h).
-  if (!staleness.empty()) {
-    staleness_weighting(weight_storage_, staleness, cfg_.async.staleness_lambda);
-  }
+  staleness_weighting(weight_storage_, staleness, cfg_.async.staleness_lambda);
   round_input_.data_weights = {weight_storage_.data(), weight_storage_.size()};
   return round_input_;
 }
@@ -406,7 +398,6 @@ void Simulation::stage_schedule(RoundContext& ctx) {
   // untouched. Both filters run on the sampled set, so the sampling RNG
   // consumption is identical with and without faults.
   fault_events_.clear();
-  lost_ids_.clear();
   const auto note_failure = [&](std::size_t i) {
     ++fault_strikes_[i];
     retry_after_[i] = ctx.m + fault_model_.backoff_rounds(fault_strikes_[i]);
@@ -516,39 +507,22 @@ void Simulation::stage_schedule(RoundContext& ctx) {
       fault_events_.push_back({static_cast<std::uint32_t>(ctx.m), static_cast<std::uint32_t>(i),
                                kind, CorruptionMode::kNaN});
       timeline_.push(a.first, EventKind::kUploadLost, i);
-      lost_ids_.push_back(i);
       note_failure(i);
       return true;
     });
-    std::sort(lost_ids_.begin(), lost_ids_.end());
     // A delivered upload clears its client's consecutive-failure streak.
     for (const auto& [t, i] : arrival_scratch_) fault_strikes_[i] = 0;
   }
   for (const auto& [t, i] : arrival_scratch_) timeline_.push(t, EventKind::kUploadReady, i);
 
+  // The barrier is the buffer at M = 0 without triggers: it accepts every
+  // arrival, so nothing defers, every flush slot is fresh, and the flush
+  // fires after the last surviving arrival. Lost uploaders computed
+  // (compute_ids_ keeps them) but never reach the flush.
   const std::size_t arrivals = arrival_scratch_.size();
   std::size_t accept = arrivals;
   if (async && cfg_.async.buffer_size > 0) accept = std::min(cfg_.async.buffer_size, arrivals);
   const double flush_time = accept > 0 ? arrival_scratch_[accept - 1].first : 0.0;
-
-  if (!async) {
-    // Barrier: the flush is the whole participant set minus lost uploaders
-    // (they computed — compute_ids_ keeps them — but never reached the
-    // server), all fresh, fired after the last surviving arrival — arrival
-    // order is unobservable by construction, which is exactly what makes it
-    // the degenerate case.
-    if (!lost_ids_.empty()) {
-      std::erase_if(part_ids_, [&](std::size_t i) {
-        return std::binary_search(lost_ids_.begin(), lost_ids_.end(), i);
-      });
-    }
-    timeline_.push(flush_time, EventKind::kBufferFlush, part.size());
-    timeline_.seal();
-    ctx.flush = &part_ids_;
-    ctx.staleness = {};
-    ctx.mean_staleness = 0.0;
-    return;
-  }
 
   accepted_ids_.clear();
   for (std::size_t s = 0; s < accept; ++s) accepted_ids_.push_back(arrival_scratch_[s].second);
@@ -609,32 +583,6 @@ void Simulation::stage_schedule(RoundContext& ctx) {
 void Simulation::stage_compute(RoundContext& ctx) {
   // (A) Local computation at w(m−1) in parallel over the per-thread
   // workspaces.
-  //
-  // Fused prescan: arm each uploader whose method hint is live so its
-  // gradient accumulation below emits this round's selection candidates in
-  // the same pass (Client::request_prescan). The gate mirrors the selection
-  // prefilter gate exactly — when select() would not run the hint filter,
-  // there is nothing to fuse. Buffered catch-ups do not recompute, so they
-  // carry no prescan; selection falls back to scanning their chunks.
-  prescan_round_ = false;
-  if (!fedavg_style_ && dim_ >= sparsify::kTopKPrefilterMinDim && ctx.k_int >= 1 &&
-      ctx.k_int < dim_) {
-    const std::size_t cap = sparsify::topk_hint_cap(ctx.k_int);
-    for (const std::size_t i : part_ids_) {
-      const float t = method_->upload_threshold_hint(i, ctx.k_int);
-      if (t > 0.0f) {
-        clients_[i]->request_prescan(t, ctx.k_int, cap, ctx.m);
-        prescan_round_ = true;
-      }
-    }
-    for (const std::size_t i : triggered_ids_) {
-      const float t = method_->upload_threshold_hint(i, ctx.k_int);
-      if (t > 0.0f) {
-        clients_[i]->request_prescan(t, ctx.k_int, cap, ctx.m);
-        prescan_round_ = true;
-      }
-    }
-  }
   pool_.parallel_for(
       compute_ids_.size(),
       [&](std::size_t s) {
@@ -772,27 +720,21 @@ void Simulation::stage_account(RoundContext& ctx, SimulationResult& res, double&
   const std::vector<std::size_t>& flush = *ctx.flush;
   const sparsify::RoundOutcome& outcome = ctx.outcome;
 
-  // Straggler-correct round timing. Synchronized: τ_m maxes each
-  // participant's compute + own-payload-over-own-link + the broadcast over
-  // the slowest participating downlink. Buffered async: τ_m waits only on
-  // FRESH arrivals — a buffered contribution's transit overlapped an earlier
-  // round's window and costs this flush nothing. That is the wall-clock win
-  // over the barrier; with every slot fresh the subset IS the flush, keeping
-  // the degenerate case bitwise synchronized.
+  // Straggler-correct round timing: τ_m maxes each FRESH arrival's
+  // compute + own-payload-over-own-link + the broadcast over the slowest
+  // participating downlink. A buffered contribution's transit overlapped an
+  // earlier round's window and costs this flush nothing — the wall-clock win
+  // of buffered async over the barrier, whose slots are all fresh.
   uplink_slots_.resize(flush.size());
   for (std::size_t s = 0; s < flush.size(); ++s) uplink_slots_[s] = outcome.client_uplink(s);
-  if (cfg_.aggregation == AggregationMode::kSynchronized) {
-    ctx.round_timing = network_.round_time(flush, uplink_slots_, outcome.downlink_values);
-  } else {
-    fresh_ids_.clear();
-    fresh_uplink_.clear();
-    for (std::size_t s = 0; s < flush.size(); ++s) {
-      if (!fresh_mask_[s]) continue;
-      fresh_ids_.push_back(flush[s]);
-      fresh_uplink_.push_back(uplink_slots_[s]);
-    }
-    ctx.round_timing = network_.round_time(fresh_ids_, fresh_uplink_, outcome.downlink_values);
+  fresh_ids_.clear();
+  fresh_uplink_.clear();
+  for (std::size_t s = 0; s < flush.size(); ++s) {
+    if (!fresh_mask_[s]) continue;
+    fresh_ids_.push_back(flush[s]);
+    fresh_uplink_.push_back(uplink_slots_[s]);
   }
+  ctx.round_timing = network_.round_time(fresh_ids_, fresh_uplink_, outcome.downlink_values);
 
   // Round-cost payload totals: round *time* maxes over the parallel
   // uplinks, but the money term prices the whole fleet — every flushed
@@ -1001,10 +943,7 @@ void Simulation::emit_telemetry(const RoundContext& ctx, const SimulationResult&
   if (rec.suspects > 0) c_suspects.add(rec.suspects);
   g_trust.set(rec.trust);
   for (const FaultEvent& e : fault_events_) publish_fault_event(e.kind);
-  for (std::size_t s = 0; s < rec.participants; ++s) {
-    h_staleness.observe(
-        ctx.staleness.empty() ? 0.0 : static_cast<double>(ctx.staleness[s]));
-  }
+  for (const std::size_t st : ctx.staleness) h_staleness.observe(static_cast<double>(st));
 
   span_scratch_.clear();
   util::SpanSink::instance().drain(span_scratch_);

@@ -293,10 +293,9 @@ class Simulation {
   /// Everything one round's stages hand to the next. The lockstep monolith
   /// became this staged pipeline: begin → schedule → compute → server round →
   /// probe → apply → account → record, each stage a method below. `flush`
-  /// points at the server round's participant set — part_ids_ under the
-  /// barrier, flush_ids_ (accepted arrivals + buffered catch-ups) under
-  /// buffered async — and `staleness` is slot-aligned with it (empty = all
-  /// fresh).
+  /// points at the server round's participant set, flush_ids_ (accepted
+  /// arrivals + buffered catch-ups; every arrival under the barrier), and
+  /// `staleness` is slot-aligned with it (all zero under the barrier).
   struct RoundContext {
     std::size_t m = 0;
     double k_cont = 0.0;
@@ -320,10 +319,10 @@ class Simulation {
   /// Controller k + stochastic rounding; advances the network state.
   void stage_begin(RoundContext& ctx);
   /// Samples participants, runs the async event-trigger scan, builds the
-  /// round's event timeline, and resolves the flush set + staleness
-  /// (barrier: flush = participants, all fresh).
+  /// round's event timeline, and resolves the flush set + staleness (the
+  /// barrier is the buffer at M = 0 without triggers: every arrival, fresh).
   void stage_schedule(RoundContext& ctx);
-  /// Arms fused prescans and runs local computation across the pool.
+  /// Runs local computation across the pool.
   void stage_compute(RoundContext& ctx);
   /// The server round over the flush set (selection + aggregation).
   void stage_server_round(RoundContext& ctx);
@@ -351,11 +350,11 @@ class Simulation {
   nn::Sequential& bound_workspace(std::size_t i);
   /// Builds the server's view over the participating clients only, with data
   /// weights renormalized over the sample (`selected` indexes clients_) and
-  /// the staleness discount folded in when `staleness` is non-empty.
+  /// the staleness discount (slot-aligned `staleness`) folded in.
   /// Returns a reference to member scratch reused across rounds.
   const sparsify::RoundInput& make_round_input(std::size_t round,
                                                const std::vector<std::size_t>& selected,
-                                               std::span<const std::size_t> staleness = {});
+                                               std::span<const std::size_t> staleness);
   /// Samples the participating client subset for one round into member
   /// scratch (no per-round allocation once warm): availability filters
   /// first (an offline client cannot be reached), then uniform
@@ -396,7 +395,6 @@ class Simulation {
   std::vector<double> uplink_slots_;     // per-participant uplink payloads
   std::vector<double> weight_storage_;   // renormalized data weights
   sparsify::RoundInput round_input_;
-  bool prescan_round_ = false;           // fused prescan requested this round
   std::vector<double> mb_losses_;
   std::vector<double> probe_prev_, probe_cur_, probe_shift_;
   std::vector<float> shift_saved_;       // shared-store probe shift undo buffer
@@ -407,7 +405,7 @@ class Simulation {
   std::vector<std::size_t> prev_offline_;     // last round's offline set (churn diff)
   std::vector<std::pair<double, std::size_t>> arrival_scratch_;  // (arrival time, id)
   std::vector<std::size_t> triggered_ids_;    // event-triggered uploaders this round
-  std::vector<std::size_t> flush_ids_;        // async flush set (sorted)
+  std::vector<std::size_t> flush_ids_;        // flush set (sorted)
   std::vector<std::size_t> flush_staleness_;  // slot-aligned with flush_ids_
   std::vector<std::uint8_t> fresh_mask_;      // flush slot uploaded this round
   std::vector<std::size_t> fresh_ids_;        // fresh subset for round timing
@@ -429,7 +427,6 @@ class Simulation {
   std::vector<FaultEvent> fault_events_;      // this round's injected faults
   std::vector<std::size_t> fault_strikes_;    // consecutive failed uploads per client
   std::vector<std::size_t> retry_after_;      // round gate: sit out while m <= gate
-  std::vector<std::size_t> lost_ids_;         // dropped/timed-out uploaders this round
 };
 
 }  // namespace fedsparse::fl

@@ -6,7 +6,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "sparsify/topk.h"
 #include "util/vec_ext.h"
 
 namespace fedsparse::sparsify {
@@ -28,11 +27,9 @@ void GradientAccumulator::set_summary(std::size_t c, float bound) noexcept {
   }
 }
 
-// Adds chunk c of g into a_, updates the chunk summary, and returns the
-// chunk's post-add |a| upper bound (the stored summary when the chunk was
-// untouched). Both add() and add_scan() drive their sweeps through this, so
-// the accumulator state they produce is identical by construction.
-float GradientAccumulator::add_chunk(std::size_t c, const float* g_base) noexcept {
+// Adds chunk c of g into a_ and updates the chunk summary (left as it is
+// when the chunk was untouched).
+void GradientAccumulator::add_chunk(std::size_t c, const float* g_base) noexcept {
   float* __restrict__ a = a_.data();
   const float* __restrict__ g = g_base;
   const std::size_t n = a_.size();
@@ -75,7 +72,7 @@ float GradientAccumulator::add_chunk(std::size_t c, const float* g_base) noexcep
     bmax = std::max(bmax, b & 0x7fffffffu);
     touched = true;
   }
-  if (!touched) return chunk_max_[c];  // summary still exact/valid
+  if (!touched) return;  // summary still exact/valid
   // NaN bit patterns (above +inf's 0x7f800000) pin the bound to infinity:
   // always dirty, never pruned.
   constexpr std::uint32_t kInfBits = 0x7f800000u;
@@ -85,9 +82,7 @@ float GradientAccumulator::add_chunk(std::size_t c, const float* g_base) noexcep
   } else {
     std::memcpy(&mx, &bmax, sizeof mx);
   }
-  const float bound = full ? mx : std::max(mx, chunk_max_[c]);
-  set_summary(c, bound);
-  return bound;
+  set_summary(c, full ? mx : std::max(mx, chunk_max_[c]));
 }
 
 // flatten: inline add_chunk into the chunk loop — the mostly-zero gradients
@@ -98,31 +93,6 @@ __attribute__((flatten)) void GradientAccumulator::add(std::span<const float> gr
     throw std::invalid_argument("GradientAccumulator::add: dimension mismatch");
   }
   for (std::size_t c = 0; c < chunk_max_.size(); ++c) add_chunk(c, grad.data());
-}
-
-bool GradientAccumulator::add_scan(std::span<const float> grad, float threshold,
-                                   std::size_t cap, std::vector<std::uint64_t>& keys) {
-  if (grad.size() != a_.size()) {
-    throw std::invalid_argument("GradientAccumulator::add_scan: dimension mismatch");
-  }
-  if (!(threshold > 0.0f)) {
-    throw std::invalid_argument("GradientAccumulator::add_scan: threshold must be > 0");
-  }
-  keys.clear();
-  bool complete = true;
-  const std::size_t n = a_.size();
-  for (std::size_t c = 0; c < chunk_max_.size(); ++c) {
-    const float bound = add_chunk(c, grad.data());
-    // Once the cap bailed the scan result is already decided; the remaining
-    // chunks still need their adds, just not their scans.
-    if (!complete || bound < threshold) continue;
-    const std::size_t begin = c * kAccumulatorChunk;
-    const std::size_t end = std::min(n, begin + kAccumulatorChunk);
-    if (!threshold_scan_range_append(a_.data(), begin, end, threshold, cap, keys)) {
-      complete = false;
-    }
-  }
-  return complete;
 }
 
 void GradientAccumulator::reset_indices(std::span<const std::int32_t> indices) {

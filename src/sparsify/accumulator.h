@@ -60,24 +60,6 @@ class GradientAccumulator {
   /// flushed to +0.0; the two compare equal and tie identically under |.|.)
   void add(std::span<const float> grad);
 
-  /// Fused accumulate + summarize + threshold-scan: performs exactly the
-  /// same adds and summary updates as `add(grad)`, and in the same pass
-  /// appends the 64-bit selection key of every post-add entry with
-  /// |a_j| >= threshold to `keys` (ascending index order), skipping chunks
-  /// whose post-add bound cannot reach the threshold. One sweep over each
-  /// dirty chunk instead of three (add, summarize, scan) — the values are
-  /// still hot in cache when the scan reads them. Returns false as soon as a
-  /// survivor would exceed `cap`: the scan stops (keys stays a valid prefix)
-  /// but the adds run to completion, so the accumulator state is identical
-  /// to plain `add` in every case. The key sequence, cap bail-out point and
-  /// return value match the separate reference
-  /// `add(grad); threshold_scan_append(value(), chunk_max(), ...)` exactly
-  /// (property-tested): a skipped chunk has bound < threshold and therefore
-  /// no survivors, and surviving chunks are scanned in ascending order.
-  /// `threshold` must be > 0 (a zero threshold would admit every element).
-  bool add_scan(std::span<const float> grad, float threshold, std::size_t cap,
-                std::vector<std::uint64_t>& keys);
-
   /// Zeroes the transmitted indices (Line 17 of Algorithm 1). Chunk summaries
   /// are left as stale-high upper bounds — zeroing can only lower a chunk's
   /// max, and the next `add` touching the chunk tightens the bound again.
@@ -126,7 +108,7 @@ class GradientAccumulator {
     return (dirty_bits_[c >> 6] >> (c & 63)) & 1u;
   }
   void set_summary(std::size_t c, float bound) noexcept;
-  float add_chunk(std::size_t c, const float* g) noexcept;
+  void add_chunk(std::size_t c, const float* g) noexcept;
 
   std::vector<float> a_;
   std::vector<float> chunk_max_;           // per-chunk upper bound on |a|

@@ -41,9 +41,6 @@ void validate_round_input(const RoundInput& in) {
   if (!in.client_ids.empty() && in.client_ids.size() != in.client_vectors.size()) {
     throw std::invalid_argument("RoundInput: client_ids size mismatch");
   }
-  if (!in.client_prescan.empty() && in.client_prescan.size() != in.client_vectors.size()) {
-    throw std::invalid_argument("RoundInput: client_prescan size mismatch");
-  }
   if (!in.client_chunk_max.empty()) {
     if (in.client_chunk_max.size() != in.client_vectors.size()) {
       throw std::invalid_argument("RoundInput: client_chunk_max size mismatch");

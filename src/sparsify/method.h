@@ -62,12 +62,6 @@ struct RoundInput {
   /// Empty vector = no summaries (dense scans); individual empty spans opt
   /// single clients out. FedAvg-style inputs (client weights) leave it empty.
   std::vector<std::span<const float>> client_chunk_max;
-  /// Per-client fused prescan views (Client::add_scan results, slot-aligned
-  /// with client_vectors). Empty vector = no prescans this round; a
-  /// default-constructed view opts a single slot out. Top-k methods hand
-  /// these to the selection, which consumes a view only when it matches the
-  /// hint it would have scanned with — results are byte-identical either way.
-  std::vector<PrescanView> client_prescan;
   /// Optional wire-tamper hook (fl::FaultModel): applied to each slot's
   /// upload after selection, before screening. nullptr = intact wire. Must be
   /// pure in (round, client, payload) so probe rounds and replays see the
@@ -198,15 +192,15 @@ class Method {
   virtual void set_robust(const RobustConfig& cfg) { (void)cfg; }
 
   /// The |value| threshold the next depth-`k` selection for `client_id`
-  /// would scan with (its persisted hint), or 0 when unknown. The simulation
-  /// uses this to seed the client-side fused prescan and the buffered-async
-  /// engine compares accumulator mass against it for event-triggered uploads.
+  /// would scan with (its persisted hint), or 0 when unknown. The
+  /// buffered-async engine compares accumulator mass against it for
+  /// event-triggered uploads.
   /// Implementations must return 0 when the persisted hint was produced for a
   /// k incompatible with the requested one (hint_compatible in topk.h) — a
   /// client rejoining after a churn gap during which the controller moved k
   /// far away must reseed through the prefilter, not scan with a threshold
   /// from a different regime. Methods without per-client selection state
-  /// return 0 (no prescan, no event triggering).
+  /// return 0 (no event triggering).
   virtual float upload_threshold_hint(std::size_t client_id, std::size_t k) const {
     (void)client_id;
     (void)k;

@@ -56,11 +56,9 @@ void RoundPipeline::set_sharding(std::size_t shards) noexcept {
 const std::vector<SparseVector>& RoundPipeline::select_uploads(const RoundInput& in,
                                                                std::size_t k) {
   FEDSPARSE_SPAN("pipeline_select");
-  const std::vector<PrescanView>* pre =
-      in.client_prescan.empty() ? nullptr : &in.client_prescan;
   basis_valid_ = false;
   top_k_uploads(in.client_vectors, in.client_chunk_max, k, in.client_ids, slot_ws_, hints_,
-                uploads_, pre);
+                uploads_);
 #ifdef FEDSPARSE_CONTRACTS
   check_selected_uploads(in, uploads_, dim_);
 #endif

@@ -46,12 +46,11 @@ class RoundPipeline {
   /// not depend on it, so it may change between rounds.
   void set_sharding(std::size_t shards) noexcept;
 
-  // --- stage: accumulate → prescan/select (per-client top-k uploads) --------
+  // --- stage: select (per-client top-k uploads) -----------------------------
 
   /// Computes every participant's top-k upload (the list every later stage
-  /// reads) via the per-slot workspaces + compact per-client hint store,
-  /// consuming any fused prescan views the input carries. Byte-identical at
-  /// every thread count.
+  /// reads) via the per-slot workspaces + compact per-client hint store.
+  /// Byte-identical at every thread count.
   const std::vector<SparseVector>& select_uploads(const RoundInput& in, std::size_t k);
 
   /// The last select_uploads() result (after any tamper and screening).
@@ -91,8 +90,8 @@ class RoundPipeline {
   /// scan with, or 0 when unknown OR when the persisted hint was produced for
   /// an incompatible k (see hint_compatible in topk.h): after a churn gap the
   /// controller may have moved k far from where the client last uploaded, and
-  /// arming a prescan with that stale threshold wastes the fused sweep — the
-  /// hint reseeds through the normal prefilter instead.
+  /// a threshold from that regime would misfire an event trigger — the hint
+  /// reseeds through the normal prefilter instead.
   float threshold_hint(std::size_t client_id, std::size_t k) const;
 
   // --- dense aggregation arena + stamp discipline ---------------------------

@@ -19,7 +19,12 @@ namespace {
 
 constexpr std::size_t kSampleSize = 512;
 
-}  // namespace
+// Below this dimension the prefilter's sampling pass is not worth its scan;
+// selecting over all D entries is already cheap.
+constexpr std::size_t kTopKPrefilterMinDim = 4096;
+
+// Survivor cap of the hinted threshold scan for a depth-k selection.
+constexpr std::size_t topk_hint_cap(std::size_t k) { return 8 * k + 64; }
 
 // Appends the key of every entry in [begin, end) with |v[i]| >= threshold,
 // in index order. Returns false (leaving keys valid but incomplete) as soon
@@ -100,8 +105,6 @@ bool threshold_scan_append(std::span<const float> v, std::span<const float> chun
   }
   return true;
 }
-
-namespace {
 
 // Estimates an |value| threshold from a strided sample such that roughly
 // 2.5*k of the D entries survive, then keeps only entries >= threshold.
@@ -311,8 +314,7 @@ void collect_tiered_dense(std::span<const float> v, std::span<const float> chunk
 
 // Returns the k strongest entries' keys, strongest first (a view of ws.top).
 std::span<const std::uint64_t> select(std::span<const float> v, std::span<const float> chunk_max,
-                                      std::size_t k, TopKWorkspace& ws,
-                                      const PrescanView* pre = nullptr) {
+                                      std::size_t k, TopKWorkspace& ws) {
   if (!chunk_max.empty() && chunk_max.size() != accumulator_chunks(v.size())) {
     throw std::invalid_argument("top_k: chunk summary size does not cover the vector");
   }
@@ -321,27 +323,10 @@ std::span<const std::uint64_t> select(std::span<const float> v, std::span<const 
   keys.clear();
   if (k == 0) return {};
 
-  bool from_prescan = false;
   bool hint_ok = false;
   bool filtered = false;
   if (k < v.size() && v.size() >= kTopKPrefilterMinDim) {
-    // A fused prescan stands in for the hinted scan when it ran with exactly
-    // the threshold and depth this call would use: a complete prescan with
-    // >= k survivors IS hint_filter's key sequence (same threshold, same
-    // topk_hint_cap(k) bail-out, same ascending chunk order), and an
-    // incomplete or short one is exactly the case where hint_filter would
-    // have failed — skip straight to the sampled prefilter without paying
-    // the scan a second time.
-    bool pre_used = false;
-    if (pre != nullptr && pre->threshold > 0.0f && pre->threshold == ws.threshold_hint &&
-        static_cast<std::size_t>(pre->k) == k) {
-      pre_used = true;
-      if (pre->complete && pre->keys.size() >= k) {
-        from_prescan = true;
-        hint_ok = true;
-      }
-    }
-    if (!pre_used) hint_ok = hint_filter(v, k, ws.threshold_hint, chunk_max, keys);
+    hint_ok = hint_filter(v, k, ws.threshold_hint, chunk_max, keys);
     filtered = hint_ok || prefilter(v, k, chunk_max, keys);
   }
   if (!filtered) {
@@ -351,7 +336,7 @@ std::span<const std::uint64_t> select(std::span<const float> v, std::span<const 
       for (std::size_t i = 0; i < v.size(); ++i) keys.push_back(make_key(v[i], i));
     }
   }
-  top_keys_desc(from_prescan ? pre->keys : std::span<const std::uint64_t>(keys), k, ws.top);
+  top_keys_desc(keys, k, ws.top);
   const std::span<const std::uint64_t> top = ws.top.out;
   // Replace the hint when this selection is at least as deep as the one that
   // produced it, or when the stored hint just failed (it drifted stale — low
@@ -380,8 +365,8 @@ void top_k_entries(std::span<const float> v, std::size_t k, TopKWorkspace& ws, S
 }
 
 void top_k_entries(std::span<const float> v, std::span<const float> chunk_max, std::size_t k,
-                   TopKWorkspace& ws, SparseVector& out, const PrescanView* pre) {
-  write_entries(v, select(v, chunk_max, k, ws, pre), out);
+                   TopKWorkspace& ws, SparseVector& out) {
+  write_entries(v, select(v, chunk_max, k, ws), out);
 }
 
 void top_k_indices(std::span<const float> v, std::size_t k, TopKWorkspace& ws,
@@ -396,14 +381,10 @@ void top_k_indices(std::span<const float> v, std::size_t k, TopKWorkspace& ws,
 void top_k_uploads(const std::vector<std::span<const float>>& vecs,
                    const std::vector<std::span<const float>>& chunk_maxes, std::size_t k,
                    std::span<const std::size_t> ids, std::vector<TopKWorkspace>& slot_workspaces,
-                   std::vector<ClientHint>& hints, std::vector<SparseVector>& uploads,
-                   const std::vector<PrescanView>* prescan) {
+                   std::vector<ClientHint>& hints, std::vector<SparseVector>& uploads) {
   const std::size_t n = vecs.size();
   if (!chunk_maxes.empty() && chunk_maxes.size() != n) {
     throw std::invalid_argument("top_k_uploads: chunk_maxes size mismatch");
-  }
-  if (prescan != nullptr && prescan->size() != n) {
-    throw std::invalid_argument("top_k_uploads: prescan size mismatch");
   }
   uploads.resize(n);
   std::size_t hints_needed = n;
@@ -421,7 +402,7 @@ void top_k_uploads(const std::vector<std::span<const float>>& vecs,
     ws.threshold_hint = hint.threshold;
     ws.hint_k = hint.k;
     top_k_entries(vecs[s], chunk_maxes.empty() ? std::span<const float>{} : chunk_maxes[s], k,
-                  ws, uploads[s], prescan == nullptr ? nullptr : &(*prescan)[s]);
+                  ws, uploads[s]);
     hint.threshold = ws.threshold_hint;
     hint.k = static_cast<std::uint32_t>(ws.hint_k);
   };

@@ -34,17 +34,6 @@
 
 namespace fedsparse::sparsify {
 
-/// Below this dimension the prefilter's sampling pass is not worth its scan;
-/// selecting over all D entries is already cheap. Exported so the
-/// simulation's fused-prescan gate matches the selection's engage condition
-/// exactly — a prescan below this dimension would never be consumed.
-constexpr std::size_t kTopKPrefilterMinDim = 4096;
-
-/// Survivor cap of the hinted threshold scan for a depth-k selection. The
-/// fused accumulator prescan (GradientAccumulator::add_scan) must use the
-/// same cap so its bail-out point is bit-identical to hint_filter's.
-constexpr std::size_t topk_hint_cap(std::size_t k) { return 8 * k + 64; }
-
 /// Is a persisted threshold hint produced for a depth-`hint_k` selection
 /// still worth seeding a depth-`k` scan with? Within a 2× band either way the
 /// hinted scan usually survives (the cap leaves 8× headroom and a too-deep
@@ -65,20 +54,6 @@ constexpr bool hint_compatible(std::size_t hint_k, std::size_t k) {
 struct ClientHint {
   float threshold = 0.0f;
   std::uint32_t k = 0;
-};
-
-/// Result of a client-side fused prescan (accumulate + summarize + threshold
-/// scan in one pass, GradientAccumulator::add_scan). `keys` are the
-/// survivors of |v| >= threshold in ascending index order, capped at
-/// topk_hint_cap(k); `complete` is false when the scan bailed at the cap.
-/// select() consumes a view only when (threshold, k) still match the
-/// workspace hint it would have scanned with — making the fused path
-/// byte-identical to the separate hint_filter scan it replaces.
-struct PrescanView {
-  std::span<const std::uint64_t> keys;
-  float threshold = 0.0f;
-  std::uint32_t k = 0;
-  bool complete = false;
 };
 
 /// Scratch and result of top_keys_desc. Both buffers keep their capacity,
@@ -137,10 +112,8 @@ void top_k_entries(std::span<const float> v, std::size_t k, TopKWorkspace& ws, S
 /// Chunk-aware variant: `chunk_max` is the per-chunk |v| upper-bound summary
 /// (GradientAccumulator::chunk_max; empty = no summaries, dense scans). Must
 /// cover v exactly: chunk_max.size() == accumulator_chunks(v.size()).
-/// `pre` optionally supplies a fused prescan (see PrescanView); nullptr or a
-/// stale view (threshold/k mismatch) runs the normal hinted scan.
 void top_k_entries(std::span<const float> v, std::span<const float> chunk_max, std::size_t k,
-                   TopKWorkspace& ws, SparseVector& out, const PrescanView* pre = nullptr);
+                   TopKWorkspace& ws, SparseVector& out);
 
 /// Same selection, indices only.
 void top_k_indices(std::span<const float> v, std::size_t k, TopKWorkspace& ws,
@@ -158,37 +131,18 @@ void top_k_indices(std::span<const float> v, std::size_t k, TopKWorkspace& ws,
 /// own client's accumulator when partial participation or availability
 /// churn reorders the slots; `hints` grows as needed and persists across
 /// rounds. `chunk_maxes` is slot-aligned with vecs (empty vector = no
-/// summaries anywhere; individual empty spans opt single clients out).
-/// `prescan` optionally supplies slot-aligned fused prescan views (nullptr =
-/// none; stale views are ignored per slot). When a thread pool is registered
-/// via tensor::set_parallel_pool and the total work is large enough, the N
-/// independent selections run across the pool — each slot has its own output
-/// and each pool slot its own workspace, so the result is byte-identical to
-/// the serial loop regardless of scheduling.
+/// summaries anywhere; individual empty spans opt single clients out). When
+/// a thread pool is registered via tensor::set_parallel_pool and the total
+/// work is large enough, the N independent selections run across the pool —
+/// each slot has its own output and each pool slot its own workspace, so the
+/// result is byte-identical to the serial loop regardless of scheduling.
 void top_k_uploads(const std::vector<std::span<const float>>& vecs,
                    const std::vector<std::span<const float>>& chunk_maxes, std::size_t k,
                    std::span<const std::size_t> ids, std::vector<TopKWorkspace>& slot_workspaces,
-                   std::vector<ClientHint>& hints, std::vector<SparseVector>& uploads,
-                   const std::vector<PrescanView>* prescan = nullptr);
+                   std::vector<ClientHint>& hints, std::vector<SparseVector>& uploads);
 
 /// Allocating conveniences over the scratch API (cold paths and tests).
 std::vector<std::int32_t> top_k_indices(std::span<const float> v, std::size_t k);
 SparseVector top_k_entries(std::span<const float> v, std::size_t k);
-
-/// Appends the key of every entry in [begin, end) with |v[i]| >= threshold,
-/// in ascending index order (indices are global, not range-relative).
-/// Returns false — leaving keys valid but incomplete — as soon as a survivor
-/// would exceed `cap`. This is the building block the fused accumulator pass
-/// shares with the hinted selection scan.
-bool threshold_scan_range_append(const float* v, std::size_t begin, std::size_t end,
-                                 float threshold, std::size_t cap,
-                                 std::vector<std::uint64_t>& keys);
-
-/// Chunk-pruned full-vector threshold scan (the non-fused reference for the
-/// add_scan property tests): appends keys of survivors in ascending index
-/// order, pruning chunks whose `chunk_max` bound is below the threshold.
-bool threshold_scan_append(std::span<const float> v, std::span<const float> chunk_max,
-                           float threshold, std::size_t cap,
-                           std::vector<std::uint64_t>& keys);
 
 }  // namespace fedsparse::sparsify

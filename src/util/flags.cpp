@@ -33,20 +33,25 @@ std::string Flags::get_string(const std::string& name, const std::string& defaul
 
 double Flags::get_double(const std::string& name, double default_value, const std::string& help) {
   const std::string s = get_string(name, std::to_string(default_value), help);
+  // Trailing characters are an error too: --lr=0.1x must not read as 0.1.
   try {
-    return std::stod(s);
+    std::size_t used = 0;
+    const double v = std::stod(s, &used);
+    if (used == s.size()) return v;
   } catch (const std::exception&) {
-    throw std::invalid_argument("flag --" + name + " expects a number, got '" + s + "'");
   }
+  throw std::invalid_argument("flag --" + name + " expects a number, got '" + s + "'");
 }
 
 long Flags::get_int(const std::string& name, long default_value, const std::string& help) {
   const std::string s = get_string(name, std::to_string(default_value), help);
   try {
-    return std::stol(s);
+    std::size_t used = 0;
+    const long v = std::stol(s, &used);
+    if (used == s.size()) return v;
   } catch (const std::exception&) {
-    throw std::invalid_argument("flag --" + name + " expects an integer, got '" + s + "'");
   }
+  throw std::invalid_argument("flag --" + name + " expects an integer, got '" + s + "'");
 }
 
 bool Flags::get_bool(const std::string& name, bool default_value, const std::string& help) {

@@ -44,16 +44,13 @@ nn::ModelFactory tiny_model() { return nn::mlp(16, {12}, 4); }
 
 // Test-side overrides of a method as the simulation sees it.
 struct MethodOverrides {
-  std::size_t shards = 0;      // > 0: pin the round engine's shard count
-  bool dense_input = false;    // strip chunk summaries + fused prescans
-  bool strip_prescan = false;  // strip fused prescans only
+  std::size_t shards = 0;    // > 0: pin the round engine's shard count
+  bool dense_input = false;  // strip chunk summaries
 };
 
 // Forwards every call to the wrapped method. A pinned shard count replaces
 // the one the simulation derives from its pool; dense input makes every
-// selection take the dense scans instead of the chunk-pruned / prescanned
-// ones; a stripped prescan makes it run the separate threshold scan over
-// the chunk summaries that the fused accumulate pass would have emitted.
+// selection take the dense scans instead of the chunk-pruned ones.
 class OverriddenMethod : public sparsify::Method {
  public:
   OverriddenMethod(std::unique_ptr<sparsify::Method> inner, MethodOverrides ov)
@@ -64,12 +61,6 @@ class OverriddenMethod : public sparsify::Method {
   std::string name() const override { return inner_->name(); }
   bool local_update_style() const override { return inner_->local_update_style(); }
   sparsify::RoundOutcome round(const sparsify::RoundInput& in, std::size_t k) override {
-    for (const sparsify::PrescanView& v : in.client_prescan) {
-      if (v.threshold > 0.0f) {
-        ++prescan_rounds_;
-        break;
-      }
-    }
     return inner_->round(view(in), k);
   }
   sparsify::RoundOutcome probe_round(const sparsify::RoundInput& in, std::size_t k) override {
@@ -86,29 +77,23 @@ class OverriddenMethod : public sparsify::Method {
     return inner_->upload_threshold_hint(client_id, k);
   }
 
-  /// Server rounds whose input carried at least one executed fused prescan
-  /// (counted before any stripping).
-  std::size_t prescan_rounds() const { return prescan_rounds_; }
-
  private:
   const sparsify::RoundInput& view(const sparsify::RoundInput& in) {
-    if (!ov_.dense_input && !ov_.strip_prescan) return in;
+    if (!ov_.dense_input) return in;
     stripped_ = in;
-    if (ov_.dense_input) stripped_.client_chunk_max.clear();
-    stripped_.client_prescan.clear();
+    stripped_.client_chunk_max.clear();
     return stripped_;
   }
 
   std::unique_ptr<sparsify::Method> inner_;
   MethodOverrides ov_;
   sparsify::RoundInput stripped_;
-  std::size_t prescan_rounds_ = 0;
 };
 
 std::unique_ptr<sparsify::Method> make_test_method(const std::string& method, std::size_t dim,
                                                    MethodOverrides ov) {
   auto m = sparsify::make_method(method, dim, 5);
-  if (ov.shards == 0 && !ov.dense_input && !ov.strip_prescan) return m;
+  if (ov.shards == 0 && !ov.dense_input) return m;
   return std::make_unique<OverriddenMethod>(std::move(m), ov);
 }
 
@@ -334,8 +319,8 @@ TEST(SharedReplicaEngine, AdaptiveDeterministicAcrossThreadCounts) {
 
 // ---------------- tiered vs dense accumulator traversal ---------------------
 
-// The chunk-tiered round view (accumulator chunk summaries and fused
-// prescans handed to the methods, selection scans pruned) is a pure
+// The chunk-tiered round view (accumulator chunk summaries handed to the
+// methods, selection scans pruned) is a pure
 // traversal-order optimization: every trace it produces must be
 // byte-identical to a run whose methods see dense inputs only, per method,
 // across thread counts, and under churn.
@@ -445,11 +430,10 @@ TEST(ShardedEngine, AutoShardSelectionIsDeterministicAcrossThreadCounts) {
   expect_identical(t1, t8, "auto shards, threads 1 vs 8");
 }
 
-// ---------------- fused accumulate + prescan ---------------------------------
+// ---------------- hinted scans on a wide model ------------------------------
 
-// The fused single-pass sweep only arms above the selection prefilter gate
-// (dim >= sparsify::kTopKPrefilterMinDim), so these runs need a model wider
-// than the tiny 256-dim MLP above.
+// Selection only runs its hinted threshold scan above the prefilter gate
+// (D >= 4096), which the tiny 256-dim MLP above never reaches.
 
 data::SyntheticConfig wide_dataset(std::uint64_t seed = 3) {
   data::SyntheticConfig cfg;
@@ -469,57 +453,38 @@ data::SyntheticConfig wide_dataset(std::uint64_t seed = 3) {
   return cfg;
 }
 
-// Runs `method` on the wide model. With `strip` the selection never sees
-// the fused prescans and runs its separate threshold scan instead; the
-// prescans must still have been produced, or the comparison shows nothing.
 SimulationResult run_wide(const std::string& method, std::unique_ptr<online::KController> ctrl,
-                          SimulationConfig cfg, bool strip) {
+                          SimulationConfig cfg, MethodOverrides ov) {
   auto dataset = data::make_synthetic(wide_dataset());
   auto factory = nn::mlp(256, {64}, 10);  // dim 17098 >= prefilter gate
   util::Rng probe(1);
   const std::size_t dim = factory(probe)->dim();
-  auto wrapped = std::make_unique<OverriddenMethod>(sparsify::make_method(method, dim, 5),
-                                                    MethodOverrides{.strip_prescan = strip});
-  const OverriddenMethod& observed = *wrapped;
-  Simulation sim(cfg, std::move(dataset), factory, std::move(wrapped), std::move(ctrl));
-  SimulationResult res = sim.run();
-  EXPECT_GT(observed.prescan_rounds(), 0u) << method << ": no fused prescan ever ran";
-  return res;
+  Simulation sim(cfg, std::move(dataset), factory, make_test_method(method, dim, ov),
+                 std::move(ctrl));
+  return sim.run();
 }
 
-class FusedPrescan : public ::testing::TestWithParam<const char*> {};
-
-TEST_P(FusedPrescan, TraceIsByteIdenticalToSeparatePasses) {
-  // The fused sweep IS the hint filter's scan, executed one pass earlier:
-  // selecting from the separate scan instead must not move a bit, sharded
-  // or not (threads 1 / 2 resolve to 1 / 3 shards).
-  const std::string method = GetParam();
-  for (const std::size_t threads : {1u, 2u}) {
-    SimulationConfig cfg = engine_sim(threads);
-    cfg.max_rounds = 15;
-    const auto fused = run_wide(method, std::make_unique<online::FixedK>(64.0), cfg, false);
-    const auto separate = run_wide(method, std::make_unique<online::FixedK>(64.0), cfg, true);
-    expect_identical(fused, separate,
-                     method + "/fused threads=" + std::to_string(threads));
+TEST(TieredVsDense, WideModelHintedScansAreByteIdentical) {
+  // Chunk-pruned hinted scans against the unpruned ones, at fixed k and
+  // under Algorithm 3, whose k' probe reruns selection with k' != k in the
+  // same round through the same hint store.
+  SimulationConfig cfg = engine_sim();
+  cfg.max_rounds = 15;
+  for (const char* method : {"fab_topk", "fub_topk", "unidirectional_topk"}) {
+    const auto tiered = run_wide(method, std::make_unique<online::FixedK>(64.0), cfg, {});
+    const auto dense = run_wide(method, std::make_unique<online::FixedK>(64.0), cfg,
+                                {.dense_input = true});
+    expect_identical(tiered, dense, std::string(method) + " wide tiered vs dense");
   }
-}
-
-INSTANTIATE_TEST_SUITE_P(AllTopKMethods, FusedPrescan,
-                         ::testing::Values("fab_topk", "fub_topk", "unidirectional_topk"));
-
-TEST(FusedPrescanTest, AdaptiveProbeInvalidatesStaleViews) {
-  // Probe selections rerun with k' != k in the same round: the prescan view
-  // must be ignored there (its k mismatch) without corrupting hint state.
-  auto run = [](bool strip) {
-    SimulationConfig cfg = engine_sim();
-    cfg.max_rounds = 15;
-    util::Rng probe(1);
-    const auto dim = static_cast<double>(nn::mlp(256, {64}, 10)(probe)->dim());
+  util::Rng probe(1);
+  const auto dim = static_cast<double>(nn::mlp(256, {64}, 10)(probe)->dim());
+  const auto adaptive = [&](MethodOverrides ov) {
     auto controller = std::make_unique<online::ExtendedSignOgd>(
         online::ExtendedSignOgd::Config{2.0, dim, 0.0, 1.5, 64});
-    return run_wide("fab_topk", std::move(controller), cfg, strip);
+    return run_wide("fab_topk", std::move(controller), cfg, ov);
   };
-  expect_identical(run(false), run(true), "adaptive fused vs separate");
+  expect_identical(adaptive({}), adaptive({.dense_input = true}),
+                   "adaptive fab_topk wide tiered vs dense");
 }
 
 // ---------------- weight-layout invariants ----------------------------------

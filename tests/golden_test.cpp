@@ -46,8 +46,7 @@ namespace {
 
 // 32 clients so that a buffered-async flush of M = 25 defers real uploads on
 // the full-participation scenarios. MLP 64-64-4 (D = 4420) sits above the
-// top-k prefilter gate, so hinted scans, chunk pruning and the fused prescan
-// all run.
+// top-k prefilter gate, so hinted scans and chunk pruning both run.
 constexpr std::size_t kClients = 32;
 constexpr std::size_t kRounds = 12;
 constexpr std::size_t kAsyncBuffer = 25;

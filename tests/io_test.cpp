@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <cstdint>
 #include <fstream>
+#include <string>
+#include <utility>
 
 #include "data/io.h"
 #include "data/synthetic.h"
@@ -92,6 +95,37 @@ TEST_F(IoTest, IdxRejectsCountMismatchAndRangeErrors) {
   // num_classes too small for stored labels:
   EXPECT_THROW(load_idx_dataset(path("img.idx"), path("lbl.idx"), 2), std::runtime_error);
   EXPECT_THROW(load_idx_dataset(path("absent.idx"), path("lbl.idx"), 5), std::runtime_error);
+}
+
+// Header-only files whose claimed sizes the files cannot hold: rejected
+// before anything is allocated. 2^31 images of 2^15 x 2^15 exceed any
+// vector's max_size; 2^16 images of 2^24 x 2^24 wrap count·rows·cols to 0
+// in 64 bits.
+TEST_F(IoTest, IdxRejectsHeadersClaimingMoreThanTheFileHolds) {
+  const auto write_header = [&](const std::string& name, std::initializer_list<std::uint32_t> w) {
+    std::ofstream out(path(name), std::ios::binary);
+    for (const std::uint32_t v : w) {
+      const char be[4] = {static_cast<char>(v >> 24), static_cast<char>(v >> 16),
+                          static_cast<char>(v >> 8), static_cast<char>(v)};
+      out.write(be, 4);
+    }
+  };
+  for (const auto& [count, side] : {std::pair<std::uint32_t, std::uint32_t>{1u << 31, 1u << 15},
+                                    std::pair<std::uint32_t, std::uint32_t>{1u << 16, 1u << 24}}) {
+    write_header("img.idx", {0x803, count, side, side});
+    write_header("lbl.idx", {0x801, count});
+    try {
+      (void)load_idx_dataset(path("img.idx"), path("lbl.idx"), 10);
+      ADD_FAILURE() << "count " << count << " side " << side << ": loaded";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("more than"), std::string::npos) << e.what();
+    }
+  }
+  // A full images file with a label file that stops after its header.
+  const Dataset ds = sample_dataset();
+  save_idx_dataset(ds, path("img.idx"), path("lbl.idx"));
+  write_header("lbl.idx", {0x801, static_cast<std::uint32_t>(ds.size())});
+  EXPECT_THROW(load_idx_dataset(path("img.idx"), path("lbl.idx"), 5), std::runtime_error);
 }
 
 TEST_F(IoTest, IdxRejectsMultiChannelSave) {

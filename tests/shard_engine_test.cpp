@@ -1,8 +1,7 @@
 // Property tests for the sharded round engine's building blocks: the
 // k-bounded keyed tree merge must reproduce the global top-k of the union of
-// per-shard top-k runs (including ties and index order), the fused
-// accumulate+scan must be indistinguishable from the separate reference
-// passes, the shard plan must stay a balanced contiguous partition, the
+// per-shard top-k runs (including ties and index order), the shard plan
+// must stay a balanced contiguous partition, the
 // bucket map must cut [0, dim) into contiguous ascending ranges, and the
 // aggregator's fused count/fill passes must reproduce the serial
 // client-major aggregation and the two-pass reset build bit for bit.
@@ -12,11 +11,9 @@
 #include <bit>
 #include <cstdint>
 #include <memory>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "sparsify/accumulator.h"
 #include "sparsify/fab_topk.h"
 #include "sparsify/fub_topk.h"
 #include "sparsify/keys.h"
@@ -125,77 +122,6 @@ TEST(KeyMergeTest, MergerReuseAcrossDifferentRunCounts) {
     merger.merge({runs.data(), runs.size()}, 25, out);
     EXPECT_EQ(out, global_topk_keys(v, 25)) << "shards=" << shards;
   }
-}
-
-// ---------------- fused accumulate + scan -----------------------------------
-
-TEST(FusedScanTest, AddScanMatchesSeparatePasses) {
-  // add_scan(grad, t, cap, keys) must leave the accumulator in exactly the
-  // state add(grad) would, and emit exactly the keys that
-  // threshold_scan_append(value(), chunk_max(), t, cap, keys) then would —
-  // same sequence, same bail point, same return.
-  util::Rng rng(123);
-  for (const std::size_t dim : {64u, 200u, 4096u}) {
-    for (int trial = 0; trial < 8; ++trial) {
-      GradientAccumulator fused(dim), ref(dim);
-      // Warm both with identical history (several rounds, partial resets).
-      for (int r = 0; r < 3; ++r) {
-        const auto g = random_values(dim, rng, 0.6);
-        fused.add({g.data(), g.size()});
-        ref.add({g.data(), g.size()});
-      }
-      const auto grad = random_values(dim, rng, 0.6);
-      // Threshold drawn from the realized magnitudes so some trials pass
-      // many entries and some pass few; cap small enough to bail sometimes.
-      const float threshold =
-          0.1f + 0.4f * static_cast<float>(rng.normal(1.0, 0.3) * rng.normal(1.0, 0.3));
-      const std::size_t cap = (trial % 2 == 0) ? 16 : 100000;
-
-      std::vector<std::uint64_t> fused_keys, ref_keys;
-      const bool fused_complete =
-          fused.add_scan({grad.data(), grad.size()}, threshold, cap, fused_keys);
-      ref.add({grad.data(), grad.size()});
-      const bool ref_complete =
-          threshold_scan_append(ref.value(), ref.chunk_max(), threshold, cap, ref_keys);
-
-      EXPECT_EQ(fused_complete, ref_complete) << "dim=" << dim << " trial=" << trial;
-      EXPECT_EQ(fused_keys, ref_keys) << "dim=" << dim << " trial=" << trial;
-      // Accumulator state must be bit-identical too (values AND summaries).
-      const auto fv = fused.value(), rv = ref.value();
-      ASSERT_EQ(fv.size(), rv.size());
-      for (std::size_t i = 0; i < fv.size(); ++i) {
-        ASSERT_EQ(fv[i], rv[i]) << "value diverged at " << i;
-      }
-      const auto fc = fused.chunk_max(), rc = ref.chunk_max();
-      ASSERT_EQ(fc.size(), rc.size());
-      for (std::size_t c = 0; c < fc.size(); ++c) {
-        ASSERT_EQ(fc[c], rc[c]) << "chunk summary diverged at " << c;
-      }
-    }
-  }
-}
-
-TEST(FusedScanTest, CapBailStillCompletesTheAdds) {
-  // A bailed scan must not leave the accumulation half-done: every chunk is
-  // still added and summarized, only the key emission stops.
-  const std::size_t dim = 512;
-  GradientAccumulator fused(dim), ref(dim);
-  std::vector<float> grad(dim, 1.0f);
-  std::vector<std::uint64_t> keys;
-  const bool complete = fused.add_scan({grad.data(), grad.size()}, 0.5f, 4, keys);
-  ref.add({grad.data(), grad.size()});
-  EXPECT_FALSE(complete);
-  EXPECT_LE(keys.size(), 4u + kAccumulatorChunk);  // bails within one chunk
-  const auto fv = fused.value(), rv = ref.value();
-  for (std::size_t i = 0; i < dim; ++i) ASSERT_EQ(fv[i], rv[i]);
-}
-
-TEST(FusedScanTest, RejectsNonPositiveThreshold) {
-  GradientAccumulator acc(64);
-  std::vector<float> grad(64, 0.0f);
-  std::vector<std::uint64_t> keys;
-  EXPECT_THROW((void)acc.add_scan({grad.data(), grad.size()}, 0.0f, 10, keys),
-               std::invalid_argument);
 }
 
 // ---------------- shard plan -------------------------------------------------

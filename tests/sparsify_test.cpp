@@ -565,70 +565,49 @@ TEST(Accumulator, ChunkSummariesStayConsistentUnderInterleavedAddReset) {
   EXPECT_EQ(acc.dirty_chunks(), 0u);
 }
 
-// Fuzz the fused add_scan against the non-fused reference: two accumulators
-// driven through the same randomized interleaving of adds, sparse adds,
-// partial resets and full resets — one taking the fused accumulate+scan
-// path, one taking plain add() with the reference threshold_scan_append on
-// its values and bounds. At every step the fused pass must produce the exact
-// key sequence, cap bail-out point and return value of the reference, both
-// stores must match a dense shadow model bit-for-bit, and the chunk bounds
-// must stay valid upper bounds (zero only for all-zero chunks).
+// Fuzz add() through a randomized interleaving of dense adds, sparse adds,
+// partial resets and full resets. At every step the store must match a dense
+// shadow model bit-for-bit, the chunk bounds must stay valid upper bounds
+// (zero only for all-zero chunks), and the chunk-pruned selection over those
+// bounds, with a threshold hint persisted across steps, must equal the
+// reference scan: a dense selection from a fresh workspace.
 TEST(Accumulator, FuzzedAddScanMatchesReferenceScanAndShadow) {
   util::Rng rng(47);
   for (const std::size_t dim :
        {std::size_t{65}, std::size_t{1000}, std::size_t{4096}}) {
-    GradientAccumulator fused(dim);
-    GradientAccumulator ref(dim);
+    GradientAccumulator acc(dim);
     std::vector<float> shadow(dim, 0.0f);
     std::vector<float> grad(dim);
     std::vector<std::int32_t> resets;
-    std::vector<std::uint64_t> fused_keys;
-    std::vector<std::uint64_t> ref_keys;
+    TopKWorkspace ws;
+    SparseVector pruned;
     for (int step = 0; step < 60; ++step) {
       const int op = static_cast<int>(rng.uniform_u64(8));
       if (op < 5) {
-        // Scan-add (dense or chunk-sparse) with a random threshold drawn from
-        // the live magnitudes and a random cap, so both the pruned-scan and
-        // the bail-out paths get exercised.
+        // Dense or chunk-sparse add (sparse exercises the zero-group skip).
         const bool sparse = op & 1;
         for (std::size_t i = 0; i < dim; ++i) {
           const bool zero = sparse && (i / kAccumulatorChunk) % 3 != 0;
           grad[i] = zero ? 0.0f : static_cast<float>(rng.normal());
         }
-        float threshold =
-            std::fabs(shadow[rng.uniform_u64(dim)] + grad[rng.uniform_u64(dim)]);
-        if (!(threshold > 0.0f)) threshold = 0.5f;
-        const std::size_t cap = rng.uniform_u64(dim) + 1;
-        fused_keys.clear();
-        ref_keys.clear();
-        const bool fused_ok =
-            fused.add_scan({grad.data(), grad.size()}, threshold, cap, fused_keys);
-        ref.add({grad.data(), grad.size()});
-        const bool ref_ok =
-            threshold_scan_append(ref.value(), ref.chunk_max(), threshold, cap, ref_keys);
+        acc.add({grad.data(), grad.size()});
         for (std::size_t i = 0; i < dim; ++i) shadow[i] += grad[i];
-        ASSERT_EQ(fused_ok, ref_ok) << "dim=" << dim << " step=" << step;
-        ASSERT_EQ(fused_keys, ref_keys) << "dim=" << dim << " step=" << step;
       } else if (op < 7) {
         resets.clear();
         const std::size_t k = rng.uniform_u64(dim / 4) + 1;
         for (std::size_t j = 0; j < k; ++j) {
           resets.push_back(static_cast<std::int32_t>(rng.uniform_u64(dim)));
         }
-        fused.reset_indices({resets.data(), resets.size()});
-        ref.reset_indices({resets.data(), resets.size()});
+        acc.reset_indices({resets.data(), resets.size()});
         for (const std::int32_t idx : resets) shadow[static_cast<std::size_t>(idx)] = 0.0f;
       } else {
-        fused.reset_all();
-        ref.reset_all();
+        acc.reset_all();
         std::fill(shadow.begin(), shadow.end(), 0.0f);
       }
-      // Both stores track the shadow exactly, and the summaries stay valid.
       for (std::size_t i = 0; i < dim; ++i) {
-        ASSERT_EQ(fused.value()[i], shadow[i]) << "dim=" << dim << " step=" << step;
-        ASSERT_EQ(ref.value()[i], shadow[i]) << "dim=" << dim << " step=" << step;
+        ASSERT_EQ(acc.value()[i], shadow[i]) << "dim=" << dim << " step=" << step;
       }
-      const auto cm = fused.chunk_max();
+      const auto cm = acc.chunk_max();
       ASSERT_EQ(cm.size(), accumulator_chunks(dim));
       std::size_t dirty = 0;
       for (std::size_t c = 0; c < cm.size(); ++c) {
@@ -641,12 +620,11 @@ TEST(Accumulator, FuzzedAddScanMatchesReferenceScanAndShadow) {
         if (cm[c] == 0.0f) ASSERT_EQ(mx, 0.0f) << "dim=" << dim << " chunk " << c;
         dirty += cm[c] > 0.0f ? 1 : 0;
       }
-      ASSERT_EQ(fused.dirty_chunks(), dirty) << "dim=" << dim << " step=" << step;
-      ASSERT_EQ(fused.chunk_max().size(), ref.chunk_max().size());
-      for (std::size_t c = 0; c < cm.size(); ++c) {
-        ASSERT_EQ(cm[c], ref.chunk_max()[c])  // fused summary == plain add's
-            << "dim=" << dim << " step=" << step << " chunk " << c;
-      }
+      ASSERT_EQ(acc.dirty_chunks(), dirty) << "dim=" << dim << " step=" << step;
+      const std::size_t k = rng.uniform_u64(dim / 8) + 1;
+      top_k_entries(acc.value(), cm, k, ws, pruned);
+      ASSERT_EQ(pruned, top_k_entries({shadow.data(), shadow.size()}, k))
+          << "dim=" << dim << " step=" << step << " k=" << k;
     }
   }
 }
@@ -966,7 +944,6 @@ struct ProbeScene {
   std::vector<std::size_t> ids{7, 2, 11, 4, 9};
   std::vector<double> weights{0.3, 0.1, 0.25, 0.15, 0.2};
   std::vector<std::vector<float>> chunk_max;
-  std::vector<std::vector<std::uint64_t>> prescan_keys;
 
   ProbeScene() {
     util::Rng rng(41);
@@ -994,25 +971,10 @@ struct ProbeScene {
     return in;
   }
 
-  // The second round's input, with chunk summaries and — when `prescan` —
-  // the fused prescan views a client would emit for `m`'s current hints.
-  RoundInput second_input(const Method& m, bool prescan) {
+  // The second round's input, with chunk summaries.
+  RoundInput second_input() const {
     RoundInput in = input(second, 2);
     for (const auto& cm : chunk_max) in.client_chunk_max.push_back({cm.data(), cm.size()});
-    if (!prescan) return in;
-    prescan_keys.assign(ids.size(), {});
-    for (std::size_t s = 0; s < ids.size(); ++s) {
-      PrescanView view;
-      view.threshold = m.upload_threshold_hint(ids[s], kK);
-      view.k = static_cast<std::uint32_t>(kK);
-      if (view.threshold > 0.0f) {
-        view.complete = threshold_scan_append(
-            {second[s].data(), kDim}, {chunk_max[s].data(), chunk_max[s].size()},
-            view.threshold, topk_hint_cap(kK), prescan_keys[s]);
-      }
-      view.keys = {prescan_keys[s].data(), prescan_keys[s].size()};
-      in.client_prescan.push_back(view);
-    }
     return in;
   }
 
@@ -1057,31 +1019,29 @@ TEST(FabTopKProbe, DerivedProbeMatchesRoundAtKPrime) {
   const std::vector<std::size_t> depths = probe_depths(scene);
   util::ThreadPool pool(3);
   for (const std::size_t shards : {1u, 3u}) {
-    for (const bool prescan : {false, true}) {
-      if (shards > 1) tensor::set_parallel_pool(&pool);
-      for (const std::size_t kp : depths) {
-        const std::string label = "shards " + std::to_string(shards) + " prescan " +
-                                  std::to_string(prescan) + " k' " + std::to_string(kp);
-        FabTopK a(ProbeScene::kDim), b(ProbeScene::kDim);
-        a.set_sharding(shards);
-        b.set_sharding(shards);
-        (void)a.round(scene.input(scene.first, 1), k);
-        (void)b.round(scene.input(scene.first, 1), k);
-        const RoundInput in = scene.second_input(a, prescan);
-        (void)a.round(in, k);
-        (void)b.round(in, k);
-        const std::vector<float> hints = scene.hints(a, kp);
+    if (shards > 1) tensor::set_parallel_pool(&pool);
+    for (const std::size_t kp : depths) {
+      const std::string label =
+          "shards " + std::to_string(shards) + " k' " + std::to_string(kp);
+      FabTopK a(ProbeScene::kDim), b(ProbeScene::kDim);
+      a.set_sharding(shards);
+      b.set_sharding(shards);
+      (void)a.round(scene.input(scene.first, 1), k);
+      (void)b.round(scene.input(scene.first, 1), k);
+      const RoundInput in = scene.second_input();
+      (void)a.round(in, k);
+      (void)b.round(in, k);
+      const std::vector<float> hints = scene.hints(a, kp);
 
-        const RoundOutcome probe = a.probe_round(in, kp);
-        const RoundOutcome want = b.round(in, kp);
-        EXPECT_TRUE(probe.contributed.empty()) << label << ": the probe was not derived";
-        expect_same_update(probe.update, want.update, label);
-        EXPECT_EQ(scene.hints(a, kp), hints) << label;
-        // A second probe from the same round derives again.
-        expect_same_update(a.probe_round(in, kp).update, want.update, label + " (again)");
-      }
-      tensor::set_parallel_pool(nullptr);
+      const RoundOutcome probe = a.probe_round(in, kp);
+      const RoundOutcome want = b.round(in, kp);
+      EXPECT_TRUE(probe.contributed.empty()) << label << ": the probe was not derived";
+      expect_same_update(probe.update, want.update, label);
+      EXPECT_EQ(scene.hints(a, kp), hints) << label;
+      // A second probe from the same round derives again.
+      expect_same_update(a.probe_round(in, kp).update, want.update, label + " (again)");
     }
+    tensor::set_parallel_pool(nullptr);
   }
 }
 
@@ -1127,8 +1087,9 @@ TEST(FabTopKProbe, FallsBackToTheRoundOutsideItsBasis) {
 
 // A probe far below k makes the hinted selection bail at its survivor cap
 // (k′ < (k − 64)/8); the round it replaces then rewrites the client's hint
-// for the shallow depth, which disarms the next round's fused prescan. No
-// top-k method's probe may do that, on the derived path or off it.
+// for the shallow depth, which costs the next round's hinted scan a
+// fallback pass. No top-k method's probe may do that, on the derived path or
+// off it.
 TEST(FabTopKProbe, ProbeKeepsSelectionHints) {
   const std::size_t dim = 60000, n = 3, k = 8000, kp = 900;
   util::Rng rng(43);

@@ -345,6 +345,13 @@ TEST(Flags, RejectsUnknownAndMalformed) {
   const char* argv3[] = {"prog", "--x=abc"};
   Flags flags3(2, const_cast<char**>(argv3));
   EXPECT_THROW(flags3.get_double("x", 0.0), std::invalid_argument);
+
+  // Trailing characters: a number prefix is not a number.
+  const char* argv4[] = {"prog", "--rounds=12abc", "--lr=0.1x"};
+  Flags flags4(3, const_cast<char**>(argv4));
+  EXPECT_THROW(flags4.get_int("rounds", 5), std::invalid_argument);
+  EXPECT_THROW(flags4.get_double("lr", 0.05), std::invalid_argument);
+  EXPECT_DOUBLE_EQ(flags4.get_double("missing", 0.05), 0.05);  // defaults still parse
 }
 
 TEST(Flags, HelpPrintsUsageAndExitsZero) {
